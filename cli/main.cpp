@@ -322,7 +322,7 @@ int finish_observability(const ObsOptions& o) {
   if (!o.profile_out.empty()) {
     const double wall_s = (obs::now_us() - o.t0_us) * 1e-6;
     const auto profile = obs::RunProfile::collect(wall_s);
-    if (!profile.write_json(o.profile_out, &error)) {
+    if (!obs::write_json_file(o.profile_out, profile.to_json(), &error)) {
       std::cerr << "error: --profile-out: " << error << '\n';
       rc = 1;
     } else {
@@ -796,15 +796,18 @@ std::string prom_name(const std::string& name) {
 int print_prometheus(const obs::JsonValue& counters,
                      const obs::JsonValue& gauges,
                      const obs::JsonValue& histograms) {
+  const auto num = [](const obs::JsonValue& v) {
+    // A histogram sum that took a NaN or infinite sample is dumped as null.
+    return v.is_number() ? obs::format_number(v.number()) : "NaN";
+  };
   std::ostringstream os;
-  os.precision(15);
   for (const auto& [name, v] : counters.object()) {
     const std::string n = prom_name(name);
-    os << "# TYPE " << n << " counter\n" << n << " " << v.number() << "\n";
+    os << "# TYPE " << n << " counter\n" << n << " " << num(v) << "\n";
   }
   for (const auto& [name, v] : gauges.object()) {
     const std::string n = prom_name(name);
-    os << "# TYPE " << n << " gauge\n" << n << " " << v.number() << "\n";
+    os << "# TYPE " << n << " gauge\n" << n << " " << num(v) << "\n";
   }
   for (const auto& [name, h] : histograms.object()) {
     const auto* count = h.find("count");
@@ -825,13 +828,13 @@ int print_prometheus(const obs::JsonValue& counters,
       const auto& le = pair.array()[0];
       cumulative += pair.array()[1].number();
       if (le.is_number()) {
-        os << n << "_bucket{le=\"" << le.number() << "\"} " << cumulative
-           << "\n";
+        os << n << "_bucket{le=\"" << num(le) << "\"} "
+           << obs::format_number(cumulative) << "\n";
       }
     }
-    os << n << "_bucket{le=\"+Inf\"} " << count->number() << "\n"
-       << n << "_sum " << sum->number() << "\n"
-       << n << "_count " << count->number() << "\n";
+    os << n << "_bucket{le=\"+Inf\"} " << num(*count) << "\n"
+       << n << "_sum " << num(*sum) << "\n"
+       << n << "_count " << num(*count) << "\n";
   }
   std::cout << os.str();
   return 0;
@@ -900,7 +903,9 @@ int cmd_stats(const cli::Args& args) {
         bucket_counts.push_back(pair.array()[1].number());
       }
       const double total = count->number();
-      const double mean = total > 0.0 ? sum->number() / total : 0.0;
+      // A sum that took a NaN or infinite sample is dumped as null.
+      const double sum_value = sum->is_number() ? sum->number() : std::nan("");
+      const double mean = total > 0.0 ? sum_value / total : 0.0;
       ht.add_row(
           {name, Table::num(total, 0), Table::num(mean, 6),
            Table::num(quantile_from_buckets(bounds, bucket_counts, total,
@@ -1046,9 +1051,9 @@ int cmd_trace_merge(const cli::Args& args) {
     return 2;
   }
 
-  std::ofstream out(*out_path, std::ios::trunc);
-  if (!out || !(out << merged)) {
-    std::cerr << "trace merge: cannot write '" << *out_path << "'\n";
+  std::string error;
+  if (!obs::write_json_file(*out_path, merged, &error)) {
+    std::cerr << "trace merge: " << error << '\n';
     return 1;
   }
   std::cout << "merged " << stats.files << " traces (" << stats.events
@@ -1266,7 +1271,11 @@ int cmd_client(const cli::Args& args) {
     // is absent tracing stays disarmed and all of this is a no-op.
     if (!trace_out.empty()) obs::TraceSession::global().start();
     obs::Span span("client.request " + type, "client",
-                   "{\"trace_id\": \"" + obs::escape_json(trace_id) + "\"}");
+                   obs::JsonWriter()
+                       .begin_object()
+                       .field("trace_id", trace_id)
+                       .end_object()
+                       .take());
     obs::record_flow("client.request", "client", request.flow_id(), 's');
     status = serve::call_with_retries(socket_path, tcp_port, request, policy,
                                       &response, &stats);
@@ -1549,14 +1558,6 @@ int cmd_loadgen(const cli::Args& args) {
 // swsim probe — physics telemetry: record a detector time series, export
 // its spectrum, or tail the live envelope stream of a serve daemon.
 
-// Round-trip-exact cell rendering for the probe CSVs (Table::num would
-// truncate; spectra re-read these files).
-std::string fmt_full(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 // One LLG solve of the reduced-scale gate, detector series to CSV
 // (columns probe,t,mx,my,mz — the input of `probe spectrum`).
 int cmd_probe_record(const cli::Args& args) {
@@ -1597,9 +1598,12 @@ int cmd_probe_record(const cli::Args& args) {
   std::size_t samples = 0;
   for (const auto& series : ev.probe_series) {
     for (std::size_t i = 0; i < series.t.size(); ++i) {
-      csv.write_row({series.name, fmt_full(series.t[i]),
-                     fmt_full(series.mx[i]), fmt_full(series.my[i]),
-                     fmt_full(series.mz[i])});
+      // Round-trip-exact cells (Table::num would truncate; spectra
+      // re-read these files).
+      csv.write_row({series.name, obs::format_number(series.t[i]),
+                     obs::format_number(series.mx[i]),
+                     obs::format_number(series.my[i]),
+                     obs::format_number(series.mz[i])});
       ++samples;
     }
   }
@@ -1659,8 +1663,8 @@ int cmd_probe_spectrum(const cli::Args& args) {
     io::CsvWriter csv(*out);
     csv.write_row({"frequency", "power"});
     for (std::size_t i = 0; i < spectrum.frequency.size(); ++i) {
-      csv.write_row({fmt_full(spectrum.frequency[i]),
-                     fmt_full(spectrum.power[i])});
+      csv.write_row({obs::format_number(spectrum.frequency[i]),
+                     obs::format_number(spectrum.power[i])});
     }
     std::cout << "wrote " << spectrum.frequency.size() << " bins -> " << *out
               << '\n';

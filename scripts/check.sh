@@ -9,7 +9,8 @@
 #      result cache.
 #   3. an Address+UBSan build of the robustness tests (fault injection,
 #      scheduler timeouts/retries, cache corruption) — the failure paths
-#      are exactly where lifetime bugs hide.
+#      are exactly where lifetime bugs hide — and of the JSON writer with
+#      the outputs built on it.
 #   4. an observability smoke run: a traced + metered batch over the fault
 #      example, then `swsim trace-check` / `swsim stats` validate the
 #      dumps the run produced — the trace JSON and metrics JSON must parse
@@ -102,8 +103,12 @@ if [[ "${SWSIM_CHECK_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== stage 3: ASan+UBSan skipped (SWSIM_CHECK_SKIP_ASAN=1) =="
 else
   ASAN_DIR="${BUILD_DIR}-asan"
+  # The JSON writer and its callers ride along: the writer escapes
+  # client-supplied strings (tenant names, trace ids) into every output.
   ASAN_TESTS=(test_robust_status test_robust_watchdog test_robust_fault
-              test_engine_resilience test_engine_pool test_engine_cache)
+              test_engine_resilience test_engine_pool test_engine_cache
+              test_obs_json test_serve_protocol test_obs_metrics
+              test_obs_trace test_obs_profile test_bench_harness)
 
   echo "== stage 3: ASan+UBSan robustness tests (${ASAN_DIR}) =="
   cmake -B "${ASAN_DIR}" -S . \
@@ -160,7 +165,7 @@ else
     --current "${BENCH_DIR}/current"
   # Deflate the baseline medians to ~0 and kill its noise estimate: every
   # case is now an apparent slowdown, and the gate MUST fail.
-  sed -i -E 's/"median": [0-9.eE+-]+/"median": 1e-12/g; s/"mad": [0-9.eE+-]+/"mad": 0/g' \
+  sed -i -E 's/"median": *[0-9.eE+-]+/"median":1e-12/g; s/"mad": *[0-9.eE+-]+/"mad":0/g' \
     "${BENCH_DIR}/baseline/"BENCH_*.json
   if "${BUILD_DIR}/cli/swsim" bench gate --baseline "${BENCH_DIR}/baseline" \
       --current "${BENCH_DIR}/current" --tolerance 0.5 --mad-k 0 \
@@ -403,7 +408,7 @@ else
     --out-dir "${TELEM_DIR}" > "${TELEM_DIR}/loadgen.txt"
   BENCH_JSON="${TELEM_DIR}/BENCH_serve_throughput.json"
   test -s "${BENCH_JSON}"
-  grep -q '"hung": 0\(\.0\+\)\?\([,}]\|$\)' "${BENCH_JSON}" || {
+  grep -q '"hung": *0\(\.0\+\)\?\([,}]\|$\)' "${BENCH_JSON}" || {
     echo "stage 9: loadgen reported hung exchanges" >&2
     cat "${TELEM_DIR}/loadgen.txt" >&2
     exit 1

@@ -20,19 +20,8 @@ namespace swsim::bench {
 
 namespace {
 
-// Same compact rendering as the obs dumps; NaN/inf clamp to 0 to keep the
-// document valid JSON.
-std::string num_str(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  if (std::floor(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
+// parse_bench_json requires numbers, so NaN/inf are written as 0.
+double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
 
 double number_field(const obs::JsonValue& obj, const std::string& key) {
   const obs::JsonValue* v = obj.find(key);
@@ -174,60 +163,54 @@ void Harness::set_profile_json(std::string profile_json) {
 
 std::string Harness::to_json() const {
   const EnvInfo env = current_env();
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"" << kSchema << "\",\n"
-     << "  \"name\": \"" << obs::escape_json(name_) << "\",\n"
-     << "  \"quick\": " << (quick_ ? "true" : "false") << ",\n"
-     << "  \"env\": {\n"
-     << "    \"git_sha\": \"" << obs::escape_json(env.git_sha) << "\",\n"
-     << "    \"compiler\": \"" << obs::escape_json(env.compiler) << "\",\n"
-     << "    \"flags\": \"" << obs::escape_json(env.flags) << "\",\n"
-     << "    \"build_type\": \"" << obs::escape_json(env.build_type) << "\",\n"
-     << "    \"cores\": " << env.cores << "\n"
-     << "  },\n"
-     << "  \"cases\": {";
-  bool first = true;
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("schema", kSchema)
+      .field("name", name_)
+      .field("quick", quick_)
+      .key("env")
+      .begin_object()
+      .field("git_sha", env.git_sha)
+      .field("compiler", env.compiler)
+      .field("flags", env.flags)
+      .field("build_type", env.build_type)
+      .field("cores", env.cores)
+      .end_object()
+      .key("cases")
+      .begin_object();
   for (const auto& [case_name, c] : cases_) {
-    os << (first ? "\n" : ",\n") << "    \"" << obs::escape_json(case_name)
-       << "\": {\"unit\": \"" << obs::escape_json(c.unit)
-       << "\", \"warmup\": " << c.warmup << ", \"samples\": [";
-    for (std::size_t i = 0; i < c.samples.size(); ++i) {
-      if (i) os << ", ";
-      os << num_str(c.samples[i]);
-    }
-    os << "], \"min\": " << num_str(c.stats.min)
-       << ", \"median\": " << num_str(c.stats.median)
-       << ", \"mad\": " << num_str(c.stats.mad)
-       << ", \"items_per_second\": " << num_str(c.items_per_second) << "}";
-    first = false;
+    w.key(case_name)
+        .begin_object()
+        .field("unit", c.unit)
+        .field("warmup", c.warmup)
+        .key("samples")
+        .begin_array();
+    for (const double sample : c.samples) w.value(finite_or_zero(sample));
+    w.end_array()
+        .field("min", finite_or_zero(c.stats.min))
+        .field("median", finite_or_zero(c.stats.median))
+        .field("mad", finite_or_zero(c.stats.mad))
+        .field("items_per_second", finite_or_zero(c.items_per_second))
+        .end_object();
   }
-  os << (first ? "" : "\n  ") << "},\n  \"scalars\": {";
-  first = true;
+  w.end_object().key("scalars").begin_object();
   for (const auto& [scalar_name, value] : scalars_) {
-    os << (first ? "\n" : ",\n") << "    \"" << obs::escape_json(scalar_name)
-       << "\": " << num_str(value);
-    first = false;
+    w.field(scalar_name, finite_or_zero(value));
   }
-  os << (first ? "" : "\n  ") << "},\n  \"profile\": ";
+  w.end_object().key("profile");
   if (profile_json_.empty()) {
-    os << "null";
+    w.null();
   } else {
-    // Embed verbatim, stripped of the trailing newline RunProfile emits.
-    std::string p = profile_json_;
-    while (!p.empty() && (p.back() == '\n' || p.back() == '\r')) p.pop_back();
-    os << p;
+    w.raw(profile_json_);
   }
-  os << "\n}\n";
-  return os.str();
+  return w.end_object().take();
 }
 
 bool Harness::finish() const {
   const std::string path = out_dir_ + "/BENCH_" + name_ + ".json";
-  std::ofstream out(path, std::ios::trunc);
-  if (out) out << to_json();
-  if (!out) {
-    std::fprintf(stderr, "bench harness: cannot write %s\n", path.c_str());
+  std::string error;
+  if (!obs::write_json_file(path, to_json(), &error)) {
+    std::fprintf(stderr, "bench harness: %s\n", error.c_str());
     return false;
   }
   std::printf("wrote %s\n", path.c_str());

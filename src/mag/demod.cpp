@@ -1,14 +1,11 @@
 #include "mag/demod.h"
 
-#include <cmath>
 #include <stdexcept>
-
-#include "math/constants.h"
 
 namespace swsim::mag {
 
 LockinDemodulator::LockinDemodulator(double f0, std::size_t window_samples)
-    : f0_(f0), window_samples_(window_samples) {
+    : f0_(f0), window_samples_(window_samples), sums_(f0) {
   if (!(f0 > 0.0)) {
     throw std::invalid_argument("LockinDemodulator: f0 must be > 0");
   }
@@ -19,23 +16,16 @@ LockinDemodulator::LockinDemodulator(double f0, std::size_t window_samples)
 }
 
 bool LockinDemodulator::add_sample(double t, double x) {
-  const double w = swsim::math::kTwoPi * f0_;
-  c_ += x * std::cos(w * t);
-  s_ += x * std::sin(w * t);
+  sums_.add(t, x);
   ++in_window_;
   if (in_window_ < window_samples_) return false;
 
-  // Same single-bin DFT scaling and conventions as math::lockin.
-  const double scale = 2.0 / static_cast<double>(window_samples_);
-  const double re = c_ * scale;   // A cos p
-  const double im = -s_ * scale;  // A sin p
-  const double amplitude = std::hypot(re, im);
+  const math::LockinResult r = sums_.finish(window_samples_);
   t_.push_back(t);
-  amplitude_.push_back(amplitude);
-  phase_.push_back(amplitude > 0.0 ? std::atan2(im, re) : 0.0);
+  amplitude_.push_back(r.amplitude);
+  phase_.push_back(r.phase);
   in_window_ = 0;
-  c_ = 0.0;
-  s_ = 0.0;
+  sums_ = math::LockinSums(f0_);
   return true;
 }
 
@@ -48,8 +38,8 @@ void LockinDemodulator::restore(const Checkpoint& cp) {
   amplitude_.resize(cp.windows);
   phase_.resize(cp.windows);
   in_window_ = cp.in_window;
-  c_ = cp.c;
-  s_ = cp.s;
+  sums_.c = cp.c;
+  sums_.s = cp.s;
 }
 
 void LockinDemodulator::clear() {
@@ -57,8 +47,7 @@ void LockinDemodulator::clear() {
   amplitude_.clear();
   phase_.clear();
   in_window_ = 0;
-  c_ = 0.0;
-  s_ = 0.0;
+  sums_ = math::LockinSums(f0_);
 }
 
 }  // namespace swsim::mag

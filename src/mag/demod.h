@@ -7,10 +7,9 @@
 // window appends one (t, amplitude, phase) point to the envelope — the live
 // port signal that convergence tracking, streaming, and early stop consume.
 //
-// The per-window math matches math/lockin.cpp exactly (re = 2c/n,
-// im = -2s/n, amplitude = hypot, phase = atan2(im, re), cos convention), so
-// a window spanning whole periods of a pure tone reproduces the offline
-// estimate.
+// The per-window math is math::LockinSums, the accumulate-and-finish core
+// math::lockin runs too (cos convention), so a window spanning whole
+// periods of a pure tone reproduces the offline estimate.
 //
 // Rewind contract: the divergence-recovery path (Simulation::run_guarded)
 // checkpoints probes and re-solves from a magnetization snapshot. A
@@ -22,6 +21,8 @@
 
 #include <cstddef>
 #include <vector>
+
+#include "math/lockin.h"
 
 namespace swsim::mag {
 
@@ -53,7 +54,9 @@ class LockinDemodulator {
     double c = 0.0;            // partial sum x cos(w t)
     double s = 0.0;            // partial sum x sin(w t)
   };
-  Checkpoint checkpoint() const { return {t_.size(), in_window_, c_, s_}; }
+  Checkpoint checkpoint() const {
+    return {t_.size(), in_window_, sums_.c, sums_.s};
+  }
   // Drops every window completed since the checkpoint and restores the
   // open window's partial accumulators. Throws std::invalid_argument when
   // the checkpoint is ahead of the record.
@@ -63,8 +66,7 @@ class LockinDemodulator {
   double f0_;
   std::size_t window_samples_;
   std::size_t in_window_ = 0;
-  double c_ = 0.0;
-  double s_ = 0.0;
+  math::LockinSums sums_;
   std::vector<double> t_, amplitude_, phase_;
 };
 

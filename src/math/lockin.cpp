@@ -22,17 +22,14 @@ LockinResult lockin(const std::vector<double>& samples, double dt, double f0,
   const auto n = static_cast<std::size_t>(
       std::floor(static_cast<double>(whole_periods) * period / dt));
 
-  // Single-bin DFT against cos/sin references:
-  //   x(t) = A cos(w t + p)  =>  sum x cos = (n/2) A cos p,
-  //                              sum x sin = -(n/2) A sin p.
-  double c = 0.0;
-  double s = 0.0;
-  const double w = kTwoPi * f0;
+  LockinSums sums(f0);
   for (std::size_t i = 0; i < n; ++i) {
-    const double t = t0 + static_cast<double>(i) * dt;
-    c += samples[i] * std::cos(w * t);
-    s += samples[i] * std::sin(w * t);
+    sums.add(t0 + static_cast<double>(i) * dt, samples[i]);
   }
+  return sums.finish(n);
+}
+
+LockinResult LockinSums::finish(std::size_t n) const {
   const double scale = 2.0 / static_cast<double>(n);
   const double re = c * scale;   // A cos p
   const double im = -s * scale;  // A sin p

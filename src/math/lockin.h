@@ -7,9 +7,12 @@
 // magnitude implements threshold detection (XOR gate).
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <vector>
+
+#include "math/constants.h"
 
 namespace swsim::math {
 
@@ -17,6 +20,26 @@ struct LockinResult {
   double amplitude = 0.0;  // |X(f0)| scaled so a pure sine of amplitude A -> A
   double phase = 0.0;      // radians in (-pi, pi]; phase of cos convention
   std::complex<double> phasor;  // amplitude * e^{i phase}
+};
+
+// Single-bin DFT sums at f0, the accumulate-and-finish core of lockin()
+// and mag::LockinDemodulator: callers supply the sample times, and both
+// agree to the bit on the same samples.
+//   x(t) = A cos(w t + p)  =>  sum x cos = (n/2) A cos p,
+//                              sum x sin = -(n/2) A sin p.
+struct LockinSums {
+  explicit LockinSums(double f0) : w(kTwoPi * f0) {}
+
+  void add(double t, double x) {
+    c += x * std::cos(w * t);
+    s += x * std::sin(w * t);
+  }
+  // Amplitude and phase of the `n` samples added so far.
+  LockinResult finish(std::size_t n) const;
+
+  double w;         // reference angular frequency, 2 pi f0
+  double c = 0.0;   // sum x cos(w t)
+  double s = 0.0;   // sum x sin(w t)
 };
 
 // Estimates the complex amplitude of `samples` (uniformly spaced by dt,

@@ -2,13 +2,11 @@
 
 #include "obs/event_log.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
 #include "obs/clock.h"
-#include "obs/json.h"
 
 namespace swsim::obs {
 
@@ -75,32 +73,26 @@ EventLog::Event::Event(EventLog* log, LogLevel level, const char* name,
                        std::uint64_t t_us)
     : log_(log), level_(level) {
   if (t_us == 0) t_us = wall_now_us();
-  line_ = "{\"t_us\":" + std::to_string(t_us) + ",\"ts\":\"" +
-          format_iso8601_us(t_us) + "\",\"level\":\"" + to_string(level) +
-          "\",\"event\":\"" + escape_json(name) + "\"";
+  line_.begin_object()
+      .field("t_us", t_us)
+      .field("ts", format_iso8601_us(t_us))
+      .field("level", to_string(level))
+      .field("event", name);
 }
 
 EventLog::Event& EventLog::Event::str(const char* key,
                                       const std::string& value) {
-  line_ += ",\"" + escape_json(key) + "\":\"" + escape_json(value) + "\"";
+  line_.field(key, value);
   return *this;
 }
 
 EventLog::Event& EventLog::Event::num(const char* key, double value) {
-  char buf[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buf, sizeof buf, "%.9g", value);
-  } else {
-    // JSON has no Inf/NaN literals; stringify so the line stays parseable.
-    std::snprintf(buf, sizeof buf, "\"%s\"",
-                  std::isnan(value) ? "nan" : (value > 0 ? "inf" : "-inf"));
-  }
-  line_ += ",\"" + escape_json(key) + "\":" + buf;
+  line_.field(key, value);
   return *this;
 }
 
 EventLog::Event& EventLog::Event::uint(const char* key, std::uint64_t value) {
-  line_ += ",\"" + escape_json(key) + "\":" + std::to_string(value);
+  line_.field(key, value);
   return *this;
 }
 
@@ -108,12 +100,12 @@ EventLog::Event& EventLog::Event::hex(const char* key, std::uint64_t value) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%016llx",
                 static_cast<unsigned long long>(value));
-  line_ += ",\"" + escape_json(key) + "\":\"" + buf + "\"";
+  line_.field(key, buf);
   return *this;
 }
 
 EventLog::Event& EventLog::Event::boolean(const char* key, bool value) {
-  line_ += ",\"" + escape_json(key) + "\":" + (value ? "true" : "false");
+  line_.field(key, value);
   return *this;
 }
 
@@ -123,8 +115,7 @@ void EventLog::Event::emit() {
   // Callers guard with enabled() before building fields; re-checking here
   // keeps a below-threshold line from leaking if one doesn't.
   if (!log_->enabled(level_)) return;
-  line_ += "}";
-  log_->write_line(line_);
+  log_->write_line(line_.end_object().str());
 }
 
 EventLog::Event EventLog::event(LogLevel level, const char* name,

@@ -36,6 +36,8 @@
 #include <mutex>
 #include <ostream>
 
+#include "obs/json.h"
+
 namespace swsim::obs {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
@@ -68,6 +70,7 @@ class EventLog {
   class Event {
    public:
     Event& str(const char* key, const std::string& value);
+    // NaN and infinities are written as null.
     Event& num(const char* key, double value);
     Event& uint(const char* key, std::uint64_t value);
     Event& hex(const char* key, std::uint64_t value);  // "0x..." string
@@ -83,7 +86,7 @@ class EventLog {
           std::uint64_t t_us);
     EventLog* log_;
     LogLevel level_;
-    std::string line_;
+    JsonWriter line_;
     bool emitted_ = false;
   };
 

@@ -2,16 +2,23 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 
 namespace swsim::obs {
 
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
+  // Copies runs of plain bytes in one append; only ", \ and control
+  // characters are rewritten.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -20,18 +27,116 @@ std::string escape_json(const std::string& s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static const char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
+      }
     }
   }
+  out.append(s, run, s.size() - run);
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+}  // namespace
+
+std::string format_number(double v) {
+  std::string out;
+  append_number(out, v);
   return out;
+}
+
+void JsonWriter::separate() {
+  if (need_comma_) out_ += ',';
+  need_comma_ = true;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  separate();
+  out_ += bracket;
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  value(name);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  separate();
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  separate();
+  append_number(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull:
+      return null();
+    case JsonValue::Kind::kBool:
+      return value(v.boolean());
+    case JsonValue::Kind::kNumber:
+      return value(v.number());
+    case JsonValue::Kind::kString:
+      return value(v.str());
+    case JsonValue::Kind::kArray:
+      begin_array();
+      for (const JsonValue& e : v.array()) value(e);
+      return end_array();
+    case JsonValue::Kind::kObject:
+      begin_object();
+      for (const auto& [k, e] : v.object()) key(k).value(e);
+      return end_object();
+  }
+  return null();
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  separate();
+  out_ += json;
+  return *this;
+}
+
+bool write_json_file(const std::string& path, const std::string& json,
+                     std::string* error) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    if (error) *error = "cannot open '" + path + "' for writing";
+    return false;
+  }
+  out << json << '\n';
+  out.flush();
+  if (!out) {
+    if (error) *error = "write to '" + path + "' failed";
+    return false;
+  }
+  return true;
 }
 
 JsonValue JsonValue::make_bool(bool b) {

@@ -3,10 +3,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/clock.h"
@@ -17,23 +13,6 @@ namespace swsim::obs {
 namespace detail {
 std::atomic<bool> g_metrics_armed{false};
 }  // namespace detail
-
-namespace {
-
-std::string num_str(double v) {
-  // Compact number rendering for dumps: integers without a trailing ".0",
-  // everything else with enough digits to round-trip reasonably.
-  if (std::floor(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
@@ -184,73 +163,36 @@ std::string MetricsRegistry::json() const {
   // Dumps iterate name-sorted snapshots (the storage is hash-ordered), so
   // the byte layout is a pure function of the metric state — diffable, and
   // stable across registration orders.
-  std::ostringstream os;
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters_snapshot()) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape_json(name)
-       << "\": " << value;
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges_snapshot()) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape_json(name)
-       << "\": " << value;
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+  JsonWriter w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : counters_snapshot()) w.field(name, value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : gauges_snapshot()) w.field(name, value);
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, s] : histograms_snapshot()) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape_json(name)
-       << "\": {\"count\": " << s.count << ", \"sum\": " << num_str(s.sum)
-       << ", \"buckets\": [";
+    w.key(name)
+        .begin_object()
+        .field("count", s.count)
+        .field("sum", s.sum)
+        .key("buckets")
+        .begin_array();
     for (std::size_t i = 0; i < s.counts.size(); ++i) {
-      if (i) os << ", ";
+      w.begin_array();
       if (i < s.bounds.size()) {
-        os << "[" << num_str(s.bounds[i]) << ", " << s.counts[i] << "]";
+        w.value(s.bounds[i]);
       } else {
-        os << "[\"inf\", " << s.counts[i] << "]";
+        w.value("inf");
       }
+      w.value(s.counts[i]).end_array();
     }
-    os << "]}";
-    first = false;
+    w.end_array().end_object();
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-  return os.str();
-}
-
-std::string MetricsRegistry::text() const {
-  std::ostringstream os;
-  os << "metrics\n";
-  for (const auto& [name, value] : counters_snapshot()) {
-    os << "  " << name << " = " << value << "\n";
-  }
-  for (const auto& [name, value] : gauges_snapshot()) {
-    os << "  " << name << " = " << value << " (gauge)\n";
-  }
-  for (const auto& [name, s] : histograms_snapshot()) {
-    os << "  " << name << ": count " << s.count << ", mean "
-       << num_str(s.mean()) << ", p50 " << num_str(s.quantile(0.5))
-       << ", p90 " << num_str(s.quantile(0.9)) << ", p99 "
-       << num_str(s.quantile(0.99)) << "\n";
-  }
-  return os.str();
+  return w.end_object().end_object().take();
 }
 
 bool MetricsRegistry::write_json(const std::string& path,
                                  std::string* error) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  out << json();
-  if (!out) {
-    if (error) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
+  return write_json_file(path, json(), error);
 }
 
 ScopedTimerUs::ScopedTimerUs(Counter& us_counter) {

@@ -10,10 +10,9 @@
 // a stable pointer: Counter/Gauge/Histogram objects are never moved or
 // destroyed once created (leaky-singleton registry).
 //
-// Dumps: text() for humans (`swsim stats` renders the JSON form as a
-// table), json() for machines (--metrics-out). Histograms export count,
-// sum, and per-bucket cumulative-free counts, so consumers can compute
-// rates and quantile estimates offline.
+// Dumps: json() for machines (--metrics-out; `swsim stats` renders it as
+// a table). Histograms export count, sum, and per-bucket cumulative-free
+// counts, so consumers can compute rates and quantile estimates offline.
 //
 // Compile-out: SWSIM_OBS_OFF collapses everything to inert stubs.
 #pragma once
@@ -144,12 +143,11 @@ class MetricsRegistry {
 
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {"count":
   // N, "sum": S, "buckets": [[le, n], ...]}}} — `le` of the overflow
-  // bucket is the string "inf". Keys are sorted lexicographically, so two
+  // bucket is the string "inf", and a sum that took a NaN or infinite
+  // sample is null. Keys are sorted lexicographically, so two
   // dumps of the same state are byte-identical regardless of registration
   // order — `swsim bench diff` and plain `diff` rely on this.
   std::string json() const;
-  // Human-readable dump (name-sorted; histograms as count/mean/p50/p90/p99).
-  std::string text() const;
   bool write_json(const std::string& path, std::string* error = nullptr) const;
 
  private:
@@ -253,9 +251,8 @@ class MetricsRegistry {
     return {};
   }
   std::string json() const {
-    return "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}\n";
+    return "{\"counters\":{},\"gauges\":{},\"histograms\":{}}";
   }
-  std::string text() const { return "observability compiled out\n"; }
   bool write_json(const std::string&, std::string* error = nullptr) const {
     if (error) *error = "observability compiled out (SWSIM_OBS_OFF)";
     return false;

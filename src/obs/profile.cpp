@@ -1,9 +1,6 @@
 #include "obs/profile.h"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -21,18 +18,6 @@ namespace {
 // A rate that divided by zero or overflowed must not poison the JSON
 // document (NaN/inf are not valid JSON tokens) — clamp to 0.
 double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
-
-std::string num_str(double v) {
-  v = finite_or_zero(v);
-  if (std::floor(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 double number_field(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
@@ -136,50 +121,58 @@ RunProfile RunProfile::collect(double wall_seconds, std::uint64_t cells) {
 }
 
 std::string RunProfile::to_json() const {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"" << kSchema << "\",\n"
-     << "  \"wall_seconds\": " << num_str(wall_seconds) << ",\n"
-     << "  \"cells\": " << cells << ",\n"
-     << "  \"llg_steps\": " << llg_steps << ",\n"
-     << "  \"field_evals\": " << field_evals << ",\n"
-     << "  \"steps_per_second\": " << num_str(steps_per_second) << ",\n"
-     << "  \"cell_steps_per_second\": " << num_str(cell_steps_per_second)
-     << ",\n"
-     << "  \"term_share\": {";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object()
+      .field("schema", kSchema)
+      .field("wall_seconds", finite_or_zero(wall_seconds))
+      .field("cells", cells)
+      .field("llg_steps", llg_steps)
+      .field("field_evals", field_evals)
+      .field("steps_per_second", finite_or_zero(steps_per_second))
+      .field("cell_steps_per_second", finite_or_zero(cell_steps_per_second))
+      .key("term_share")
+      .begin_object();
   for (const auto& [term, share] : term_share) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape_json(term)
-       << "\": " << num_str(share);
-    first = false;
+    w.field(term, finite_or_zero(share));
   }
-  os << (first ? "" : "\n  ") << "},\n"
-     << "  \"cache\": {\"hits\": " << cache_hits
-     << ", \"misses\": " << cache_misses
-     << ", \"hit_rate\": " << num_str(cache_hit_rate) << "},\n"
-     << "  \"pool\": {\"threads\": " << pool_threads
-     << ", \"busy_us\": " << pool_busy_us
-     << ", \"utilization\": " << num_str(pool_utilization) << "},\n"
-     << "  \"jobs\": {\"done\": " << jobs_done << ", \"failed\": " << jobs_failed
-     << ", \"retried\": " << jobs_retried << "},\n"
-     << "  \"physics\": {\"energy_samples\": " << physics_energy_samples
-     << ", \"total_energy_j\": " << num_str(physics_total_energy_j)
-     << ", \"exchange_energy_j\": " << num_str(physics_exchange_energy_j)
-     << ", \"early_stop_saved_steps\": " << early_stop_saved_steps
-     << ", \"probes\": [";
-  first = true;
+  w.end_object()
+      .key("cache")
+      .begin_object()
+      .field("hits", cache_hits)
+      .field("misses", cache_misses)
+      .field("hit_rate", finite_or_zero(cache_hit_rate))
+      .end_object()
+      .key("pool")
+      .begin_object()
+      .field("threads", pool_threads)
+      .field("busy_us", pool_busy_us)
+      .field("utilization", finite_or_zero(pool_utilization))
+      .end_object()
+      .key("jobs")
+      .begin_object()
+      .field("done", jobs_done)
+      .field("failed", jobs_failed)
+      .field("retried", jobs_retried)
+      .end_object()
+      .key("physics")
+      .begin_object()
+      .field("energy_samples", physics_energy_samples)
+      .field("total_energy_j", finite_or_zero(physics_total_energy_j))
+      .field("exchange_energy_j", finite_or_zero(physics_exchange_energy_j))
+      .field("early_stop_saved_steps", early_stop_saved_steps)
+      .key("probes")
+      .begin_array();
   for (const auto& probe : physics_probes) {
-    os << (first ? "\n" : ",\n") << "    {\"name\": \""
-       << escape_json(probe.name) << "\", \"windows\": " << probe.windows
-       << ", \"amplitude\": " << num_str(probe.amplitude)
-       << ", \"phase\": " << num_str(probe.phase)
-       << ", \"converged_at\": " << num_str(probe.converged_at) << "}";
-    first = false;
+    w.begin_object()
+        .field("name", probe.name)
+        .field("windows", probe.windows)
+        .field("amplitude", finite_or_zero(probe.amplitude))
+        .field("phase", finite_or_zero(probe.phase))
+        .field("converged_at", finite_or_zero(probe.converged_at))
+        .end_object();
   }
-  os << (first ? "" : "\n  ") << "]},\n"
-     << "  \"peak_rss_bytes\": " << peak_rss_bytes << "\n"
-     << "}\n";
-  return os.str();
+  w.end_array().end_object().field("peak_rss_bytes", peak_rss_bytes);
+  return w.end_object().take();
 }
 
 RunProfile RunProfile::from_json(const JsonValue& root) {
@@ -265,20 +258,6 @@ RunProfile RunProfile::from_json(const JsonValue& root) {
   }
   p.peak_rss_bytes = uint_field(root, "peak_rss_bytes");
   return p;
-}
-
-bool RunProfile::write_json(const std::string& path, std::string* error) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  out << to_json();
-  if (!out) {
-    if (error) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace swsim::obs

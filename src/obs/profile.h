@@ -79,17 +79,14 @@ struct RunProfile {
   // guarded against division by zero and non-finite results.
   static RunProfile collect(double wall_seconds, std::uint64_t cells = 0);
 
-  // Serializes to the versioned schema (pretty-printed, key-sorted; safe
-  // against NaN/inf — they are written as 0, keeping the document valid
-  // JSON). Parse the result with obs::parse_json + from_json.
+  // Serializes to the versioned schema (compact JSON; NaN/inf are written
+  // as 0, since from_json requires numbers). Parse the result with
+  // obs::parse_json + from_json.
   std::string to_json() const;
 
   // Inverse of to_json(). Throws std::runtime_error naming the problem on
   // a missing/mismatched "schema" or a structurally wrong document.
   static RunProfile from_json(const JsonValue& root);
-
-  // Writes to_json() to `path`; false (with *error set) on I/O failure.
-  bool write_json(const std::string& path, std::string* error = nullptr) const;
 };
 
 // Peak resident set size of this process in bytes (0 when unavailable).

@@ -3,8 +3,7 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "obs/clock.h"
 #include "obs/json.h"
@@ -67,79 +66,61 @@ void TraceSession::clear() {
   }
 }
 
-namespace {
-
-void append_hex(std::ostringstream& os, std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(v));
-  os << buf;
-}
-
-}  // namespace
-
 std::string TraceSession::chrome_json() {
-  std::ostringstream os;
-  // now_us() grows past 1e6 within a second of process start; the default
-  // 6-significant-digit precision would quantize timestamps. 15 digits
-  // keeps sub-microsecond resolution for runs up to ~28 years.
-  os.precision(15);
   // Epoch microseconds at trace timestamp 0: the key `swsim trace merge`
   // uses to rebase traces from different processes onto one timeline.
   const auto anchor = static_cast<long long>(
       static_cast<double>(wall_now_us()) - now_us());
-  os << "{\"traceEvents\": [\n";
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
   std::lock_guard<std::mutex> lock(mutex_);
-  bool first = true;
-  const auto comma = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
   for (const auto& b : buffers_) {
     std::lock_guard<std::mutex> bl(b->mutex);
     if (!b->thread_name.empty()) {
-      comma();
-      os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
-         << b->tid << ", \"args\": {\"name\": \""
-         << escape_json(b->thread_name) << "\"}}";
+      w.begin_object()
+          .field("name", "thread_name")
+          .field("ph", "M")
+          .field("pid", 1)
+          .field("tid", b->tid)
+          .key("args")
+          .begin_object()
+          .field("name", b->thread_name)
+          .end_object()
+          .end_object();
     }
     for (const auto& e : b->events) {
-      comma();
-      os << "{\"name\": \"" << escape_json(e.name) << "\", \"cat\": \""
-         << escape_json(e.cat) << "\", \"ph\": \"" << e.ph
-         << "\", \"ts\": " << e.ts_us;
+      w.begin_object()
+          .field("name", e.name)
+          .field("cat", e.cat)
+          .field("ph", std::string_view(&e.ph, 1))
+          .field("ts", e.ts_us);
       if (e.ph == 'X') {
-        os << ", \"dur\": " << e.dur_us;
+        w.field("dur", e.dur_us);
       } else {
         // Flow event: the shared arrow id, as a hex string so 64-bit ids
         // survive JSON double precision.
-        os << ", \"id\": \"";
-        append_hex(os, e.flow_id);
-        os << "\"";
-        if (e.ph == 'f') os << ", \"bp\": \"e\"";
+        char id[19];
+        std::snprintf(id, sizeof id, "0x%llx",
+                      static_cast<unsigned long long>(e.flow_id));
+        w.field("id", id);
+        if (e.ph == 'f') w.field("bp", "e");
       }
-      os << ", \"pid\": 1, \"tid\": " << b->tid;
-      if (!e.args.empty()) os << ", \"args\": " << e.args;
-      os << "}";
+      w.field("pid", 1).field("tid", b->tid);
+      if (!e.args.empty()) w.key("args").raw(e.args);
+      w.end_object();
     }
   }
-  os << "\n], \"otherData\": {\"wall_anchor_us\": " << anchor << "}}\n";
-  return os.str();
+  w.end_array()
+      .key("otherData")
+      .begin_object()
+      .field("wall_anchor_us", anchor)
+      .end_object();
+  return w.end_object().take();
 }
 
 bool TraceSession::write_chrome_json(const std::string& path,
                                      std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  out << chrome_json();
-  if (!out) {
-    if (error) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
+  return write_json_file(path, chrome_json(), error);
 }
 
 void Span::begin(const char* name, const char* cat,

@@ -200,7 +200,7 @@ class TraceSession {
   void stop() {}
   bool active() const { return false; }
   std::size_t event_count() { return 0; }
-  std::string chrome_json() { return "{\"traceEvents\": []}\n"; }
+  std::string chrome_json() { return "{\"traceEvents\":[]}"; }
   bool write_chrome_json(const std::string&, std::string* error = nullptr) {
     if (error) *error = "observability compiled out (SWSIM_OBS_OFF)";
     return false;

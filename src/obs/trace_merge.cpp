@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -10,49 +9,6 @@
 namespace swsim::obs {
 
 namespace {
-
-// Serializes a parsed JsonValue back to text (the merge rewrites events it
-// did not produce, so it must round-trip arbitrary args objects).
-void write_json_value(std::ostringstream& os, const JsonValue& v) {
-  using Kind = JsonValue::Kind;
-  switch (v.kind()) {
-    case Kind::kNull:
-      os << "null";
-      break;
-    case Kind::kBool:
-      os << (v.boolean() ? "true" : "false");
-      break;
-    case Kind::kNumber:
-      os << v.number();
-      break;
-    case Kind::kString:
-      os << '"' << escape_json(v.str()) << '"';
-      break;
-    case Kind::kArray: {
-      os << '[';
-      bool first = true;
-      for (const auto& e : v.array()) {
-        if (!first) os << ", ";
-        first = false;
-        write_json_value(os, e);
-      }
-      os << ']';
-      break;
-    }
-    case Kind::kObject: {
-      os << '{';
-      bool first = true;
-      for (const auto& [k, e] : v.object()) {
-        if (!first) os << ", ";
-        first = false;
-        os << '"' << escape_json(k) << "\": ";
-        write_json_value(os, e);
-      }
-      os << '}';
-      break;
-    }
-  }
-}
 
 [[noreturn]] void fail(const std::string& label, const std::string& what) {
   throw std::runtime_error("'" + label + "': " + what);
@@ -95,53 +51,53 @@ std::string merge_trace_dumps(
 
   // Offsets are taken relative to the earliest anchor, not the epoch, so
   // rebased timestamps stay small and double-exact.
-  std::ostringstream os;
-  os.precision(15);
-  os << "{\"traceEvents\": [\n";
-  bool first = true;
-  const auto comma = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
   std::size_t total = 0;
   for (std::size_t fi = 0; fi < inputs.size(); ++fi) {
     const auto& [label, doc] = inputs[fi];
     const double offset_us = anchors[fi] - min_anchor;
-    const long long pid = static_cast<long long>(fi) + 1;
-    const std::string name = std::filesystem::path(label).filename().string();
-    comma();
-    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
-       << ", \"tid\": 0, \"args\": {\"name\": \"" << escape_json(name)
-       << "\"}}";
+    const std::size_t pid = fi + 1;
+    w.begin_object()
+        .field("name", "process_name")
+        .field("ph", "M")
+        .field("pid", pid)
+        .field("tid", 0)
+        .key("args")
+        .begin_object()
+        .field("name", std::filesystem::path(label).filename().string())
+        .end_object()
+        .end_object();
     for (const auto& e : doc->find("traceEvents")->array()) {
       if (!e.is_object()) fail(label, "non-object trace event");
-      comma();
-      os << '{';
-      bool first_key = true;
+      w.begin_object();
       for (const auto& [k, v] : e.object()) {
-        if (!first_key) os << ", ";
-        first_key = false;
-        os << '"' << escape_json(k) << "\": ";
+        w.key(k);
         if (k == "ts" && v.is_number()) {
-          os << v.number() + offset_us;
+          w.value(v.number() + offset_us);
         } else if (k == "pid") {
-          os << pid;
+          w.value(pid);
         } else {
-          write_json_value(os, v);
+          w.value(v);
         }
       }
-      os << '}';
+      w.end_object();
       ++total;
     }
   }
-  os << "\n], \"otherData\": {\"wall_anchor_us\": " << min_anchor
-     << ", \"merged_from\": " << inputs.size() << "}}\n";
+  w.end_array()
+      .key("otherData")
+      .begin_object()
+      .field("wall_anchor_us", min_anchor)
+      .field("merged_from", inputs.size())
+      .end_object()
+      .end_object();
 
   if (stats) {
     stats->files = inputs.size();
     stats->events = total;
   }
-  return os.str();
+  return w.take();
 }
 
 }  // namespace swsim::obs

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/json.h"
+
 namespace swsim::serve {
 
 namespace {
@@ -66,12 +68,22 @@ std::size_t FlightRecorder::size() const {
 }
 
 void FlightRecorder::dump(std::ostream& out) const {
+  const auto marker = [&out](const char* phase, const char* count_key,
+                             std::uint64_t n) {
+    out << obs::JsonWriter()
+               .begin_object()
+               .field("flight_recorder", phase)
+               .field(count_key, n)
+               .end_object()
+               .str()
+        << "\n";
+  };
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t cap = slots_.size();
   const std::size_t held =
       static_cast<std::size_t>(next_ < cap ? next_ : cap);
   const std::uint64_t dropped = next_ - held;
-  out << "{\"flight_recorder\":\"begin\",\"dropped\":" << dropped << "}\n";
+  marker("begin", "dropped", dropped);
   const std::uint64_t start = next_ - held;
   for (std::uint64_t i = start; i < next_; ++i) {
     const Slot& slot = slots_[i % cap];
@@ -79,7 +91,7 @@ void FlightRecorder::dump(std::ostream& out) const {
     out.write(slot.text, slot.len);
     out << "\n";
   }
-  out << "{\"flight_recorder\":\"end\",\"entries\":" << held << "}\n";
+  marker("end", "entries", held);
 }
 
 std::size_t FlightRecorder::dump_to_fd(int fd) const {

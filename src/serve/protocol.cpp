@@ -1,35 +1,16 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "obs/trace.h"
 
 namespace swsim::serve {
 
 namespace {
-
-// Shortest round-trip-exact rendering for wire doubles: scalars crossing
-// the protocol must parse back to the identical value.
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Prefer a shorter form when it round-trips (keeps documents readable
-  // for the common "55" / "0.05" cases).
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[40];
-    std::snprintf(probe, sizeof probe, "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(probe, "%lf", &back);
-    if (back == v) return probe;
-  }
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  return "\"" + obs::escape_json(s) + "\"";
-}
 
 robust::Status invalid(const std::string& message) {
   return robust::Status::error(robust::StatusCode::kInvalidConfig, message,
@@ -314,94 +295,86 @@ robust::Status parse_request_text(const std::string& text, Request* out) {
 }
 
 std::string serialize_request(const Request& r) {
-  std::string out = "{\"proto\":" + quoted(kProtocol) +
-                    ",\"type\":" + quoted(to_string(r.type)) +
-                    ",\"id\":" + std::to_string(r.id) +
-                    ",\"client\":" + quoted(r.client) +
-                    ",\"priority\":" + std::to_string(r.priority);
-  if (r.deadline_s > 0.0) {
-    out += ",\"deadline_s\":" + fmt_double(r.deadline_s);
-  }
-  if (!r.trace_id.empty()) out += ",\"trace_id\":" + quoted(r.trace_id);
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("proto", kProtocol)
+      .field("type", to_string(r.type))
+      .field("id", r.id)
+      .field("client", r.client)
+      .field("priority", r.priority);
+  if (r.deadline_s > 0.0) w.field("deadline_s", r.deadline_s);
+  if (!r.trace_id.empty()) w.field("trace_id", r.trace_id);
   if (r.parent_span != 0) {
     char hex[20];
     std::snprintf(hex, sizeof hex, "%llx",
                   static_cast<unsigned long long>(r.parent_span));
-    out += ",\"parent_span\":\"" + std::string(hex) + "\"";
+    w.field("parent_span", hex);
   }
   if (r.type == RequestType::kTruthTable) {
-    out += ",\"gate\":" + quoted(r.gate.kind) +
-           ",\"lambda_nm\":" + fmt_double(r.gate.lambda_nm);
-    if (r.gate.width_nm) {
-      out += ",\"width_nm\":" + fmt_double(*r.gate.width_nm);
-    }
+    w.field("gate", r.gate.kind).field("lambda_nm", r.gate.lambda_nm);
+    if (r.gate.width_nm) w.field("width_nm", *r.gate.width_nm);
   } else if (r.type == RequestType::kYield) {
-    out += ",\"gate\":" + quoted(r.yield.kind) +
-           ",\"lambda_nm\":" + fmt_double(r.yield.lambda_nm);
-    if (r.yield.width_nm) {
-      out += ",\"width_nm\":" + fmt_double(*r.yield.width_nm);
-    }
-    out += ",\"sigma_length_nm\":" + fmt_double(r.yield.sigma_length_nm) +
-           ",\"sigma_amp\":" + fmt_double(r.yield.sigma_amp) +
-           ",\"trials\":" + std::to_string(r.yield.trials);
+    w.field("gate", r.yield.kind).field("lambda_nm", r.yield.lambda_nm);
+    if (r.yield.width_nm) w.field("width_nm", *r.yield.width_nm);
+    w.field("sigma_length_nm", r.yield.sigma_length_nm)
+        .field("sigma_amp", r.yield.sigma_amp)
+        .field("trials", r.yield.trials);
   } else if (r.type == RequestType::kMicromag) {
-    out += ",\"gate\":" + quoted(r.micromag.kind) +
-           ",\"lambda_nm\":" + fmt_double(r.micromag.lambda_nm) +
-           ",\"width_nm\":" + fmt_double(r.micromag.width_nm) +
-           ",\"cell_nm\":" + fmt_double(r.micromag.cell_nm);
-    if (r.micromag.early_stop) out += ",\"early_stop\":true";
+    w.field("gate", r.micromag.kind)
+        .field("lambda_nm", r.micromag.lambda_nm)
+        .field("width_nm", r.micromag.width_nm)
+        .field("cell_nm", r.micromag.cell_nm);
+    if (r.micromag.early_stop) w.field("early_stop", true);
   } else if (r.type == RequestType::kProbeSubscribe) {
-    if (r.probe_max_frames > 0) {
-      out += ",\"max_frames\":" + std::to_string(r.probe_max_frames);
-    }
-    if (r.probe_duration_s > 0.0) {
-      out += ",\"duration_s\":" + fmt_double(r.probe_duration_s);
-    }
-    if (!r.probe_filter.empty()) out += ",\"probe\":" + quoted(r.probe_filter);
+    if (r.probe_max_frames > 0) w.field("max_frames", r.probe_max_frames);
+    if (r.probe_duration_s > 0.0) w.field("duration_s", r.probe_duration_s);
+    if (!r.probe_filter.empty()) w.field("probe", r.probe_filter);
   }
-  out += "}";
-  return out;
+  return w.end_object().take();
 }
 
 std::string serialize_response(const Response& r) {
-  std::string out =
-      "{\"proto\":" + quoted(kProtocol) + ",\"id\":" + std::to_string(r.id) +
-      ",\"status\":{\"code\":" + quoted(robust::to_string(r.status.code())) +
-      ",\"message\":" + quoted(r.status.message()) +
-      ",\"context\":" + quoted(r.status.context()) + "}";
-  if (r.retry_after_s > 0.0) {
-    out += ",\"retry_after_s\":" + fmt_double(r.retry_after_s);
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("proto", kProtocol)
+      .field("id", r.id)
+      .key("status")
+      .begin_object()
+      .field("code", robust::to_string(r.status.code()))
+      .field("message", r.status.message())
+      .field("context", r.status.context())
+      .end_object();
+  if (r.retry_after_s > 0.0) w.field("retry_after_s", r.retry_after_s);
+  if (!r.text.empty()) w.field("text", r.text);
+  const std::pair<const char*, double> scalars[] = {
+      {"all_pass", r.all_pass},
+      {"yield", r.yield_value},
+      {"mean_worst_margin", r.mean_worst_margin},
+      {"max_asymmetry", r.max_asymmetry},
+      {"min_margin", r.min_margin}};
+  if (std::ranges::any_of(
+          scalars, [](const auto& s) { return Response::set(s.second); })) {
+    w.key("scalars").begin_object();
+    for (const auto& [name, v] : scalars) {
+      if (Response::set(v)) w.field(name, v);
+    }
+    w.end_object();
   }
-  if (!r.text.empty()) out += ",\"text\":" + quoted(r.text);
-  std::string scalars;
-  const auto add_scalar = [&scalars](const char* name, double v) {
-    if (!Response::set(v)) return;
-    if (!scalars.empty()) scalars += ",";
-    scalars += "\"" + std::string(name) + "\":" + fmt_double(v);
-  };
-  add_scalar("all_pass", r.all_pass);
-  add_scalar("yield", r.yield_value);
-  add_scalar("mean_worst_margin", r.mean_worst_margin);
-  add_scalar("max_asymmetry", r.max_asymmetry);
-  add_scalar("min_margin", r.min_margin);
-  if (!scalars.empty()) out += ",\"scalars\":{" + scalars + "}";
   if (r.timing.any()) {
-    std::string timing;
-    const auto add_phase = [&timing](const char* name, double v) {
-      if (v < 0.0) return;
-      if (!timing.empty()) timing += ",";
-      timing += "\"" + std::string(name) + "\":" + fmt_double(v);
-    };
-    add_phase("queue_s", r.timing.queue_s);
-    add_phase("engine_s", r.timing.engine_s);
-    add_phase("render_s", r.timing.render_s);
-    add_phase("total_s", r.timing.total_s);
-    add_phase("budget_consumed", r.timing.budget_consumed);
-    out += ",\"timing\":{" + timing + "}";
+    const std::pair<const char*, double> phases[] = {
+        {"queue_s", r.timing.queue_s},
+        {"engine_s", r.timing.engine_s},
+        {"render_s", r.timing.render_s},
+        {"total_s", r.timing.total_s},
+        {"budget_consumed", r.timing.budget_consumed}};
+    w.key("timing").begin_object();
+    for (const auto& [name, v] : phases) {
+      if (v >= 0.0) w.field(name, v);
+    }
+    w.end_object();
   }
-  if (!r.payload_json.empty()) out += ",\"payload\":" + r.payload_json;
-  out += "}";
-  return out;
+  if (!r.payload_json.empty()) w.key("payload").raw(r.payload_json);
+  return w.end_object().take();
 }
 
 robust::Status parse_response_text(const std::string& text, Response* out) {
@@ -467,7 +440,7 @@ robust::Status parse_response_text(const std::string& text, Response* out) {
     get("budget_consumed", &out->timing.budget_consumed);
   }
   if (const auto* payload = doc.find("payload")) {
-    out->payload_json = dump_json(*payload);
+    out->payload_json = obs::JsonWriter().value(*payload).take();
   }
   return robust::Status::ok();
 }
@@ -484,38 +457,6 @@ robust::StatusCode status_code_from_string(const std::string& name) {
     if (robust::to_string(code) == name) return code;
   }
   return StatusCode::kInternal;
-}
-
-std::string dump_json(const obs::JsonValue& v) {
-  switch (v.kind()) {
-    case obs::JsonValue::Kind::kNull:
-      return "null";
-    case obs::JsonValue::Kind::kBool:
-      return v.boolean() ? "true" : "false";
-    case obs::JsonValue::Kind::kNumber:
-      return fmt_double(v.number());
-    case obs::JsonValue::Kind::kString:
-      return quoted(v.str());
-    case obs::JsonValue::Kind::kArray: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < v.array().size(); ++i) {
-        if (i > 0) out += ",";
-        out += dump_json(v.array()[i]);
-      }
-      return out + "]";
-    }
-    case obs::JsonValue::Kind::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const auto& [key, value] : v.object()) {
-        if (!first) out += ",";
-        first = false;
-        out += quoted(key) + ":" + dump_json(value);
-      }
-      return out + "}";
-    }
-  }
-  return "null";
 }
 
 }  // namespace swsim::serve

@@ -144,9 +144,4 @@ robust::Status parse_response_text(const std::string& text, Response* out);
 // (a newer server's code still fails closed on an older client).
 robust::StatusCode status_code_from_string(const std::string& name);
 
-// Deterministic JSON rendering of a parsed value (object keys are already
-// sorted by JsonValue's map). Used to re-emit "payload" subtrees and by
-// tests that round-trip documents.
-std::string dump_json(const obs::JsonValue& v);
-
 }  // namespace swsim::serve

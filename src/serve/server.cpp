@@ -63,12 +63,6 @@ ServeMetrics& serve_metrics() {
   return *m;
 }
 
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
 std::string errno_status_message(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -393,8 +387,11 @@ void Server::session_loop(std::size_t slot, int fd) {
                      "serve",
                      request.trace_id.empty()
                          ? std::string()
-                         : "{\"trace_id\":\"" +
-                               obs::escape_json(request.trace_id) + "\"}");
+                         : obs::JsonWriter()
+                               .begin_object()
+                               .field("trace_id", request.trace_id)
+                               .end_object()
+                               .take());
       if (flow != 0) obs::record_flow("serve.request", "serve", flow, 't');
       if (!parsed.is_ok()) {
         response.id = request.id;
@@ -690,18 +687,21 @@ bool Server::stream_probes(int fd, const Request& request) {
         frame.probe != request.probe_filter) {
       continue;
     }
-    std::string doc =
-        "{\"type\":\"probe.frame\",\"job\":\"" + obs::escape_json(frame.job) +
-        "\",\"probe\":\"" + obs::escape_json(frame.probe) +
-        "\",\"window\":" + std::to_string(frame.window) +
-        ",\"t\":" + fmt(frame.t) + ",\"amplitude\":" + fmt(frame.amplitude) +
-        ",\"phase\":" + fmt(frame.phase) +
-        ",\"converged\":" + (frame.converged ? "true" : "false");
+    obs::JsonWriter doc;
+    doc.begin_object()
+        .field("type", "probe.frame")
+        .field("job", frame.job)
+        .field("probe", frame.probe)
+        .field("window", frame.window)
+        .field("t", frame.t)
+        .field("amplitude", frame.amplitude)
+        .field("phase", frame.phase)
+        .field("converged", frame.converged);
     if (frame.converged_at >= 0.0) {
-      doc += ",\"converged_at\":" + fmt(frame.converged_at);
+      doc.field("converged_at", frame.converged_at);
     }
-    doc += ",\"dropped\":" + std::to_string(sub->dropped()) + "}";
-    if (!write_frame(fd, doc, &error,
+    doc.field("dropped", sub->dropped()).end_object();
+    if (!write_frame(fd, doc.str(), &error,
                      IoDeadlines{0.0, tun.frame_timeout_s})) {
       write_ok = false;
       end_reason = "error";
@@ -717,18 +717,24 @@ bool Server::stream_probes(int fd, const Request& request) {
     probe_dropped_.fetch_add(dropped, std::memory_order_relaxed);
     serve_metrics().probe_dropped.add(dropped);
   }
-  if (write_ok) {
-    const std::string fin = "{\"type\":\"probe.end\",\"reason\":\"" +
-                            std::string(end_reason) +
-                            "\",\"frames\":" + std::to_string(frames) +
-                            ",\"dropped\":" + std::to_string(dropped) + "}";
-    write_ok =
-        write_frame(fd, fin, &error, IoDeadlines{0.0, tun.frame_timeout_s});
-  }
-  sub.reset();  // unsubscribe: publishers stop paying for this stream
+  // Unsubscribe before the end marker goes out, so a client that has read
+  // probe.end never sees this stream still live in the hub or healthz.
+  sub.reset();  // publishers stop paying for this stream
   probe_active_.fetch_sub(1, std::memory_order_relaxed);
   serve_metrics().probe_active.set(static_cast<std::int64_t>(
       probe_active_.load(std::memory_order_relaxed)));
+  if (write_ok) {
+    const std::string fin = obs::JsonWriter()
+                                .begin_object()
+                                .field("type", "probe.end")
+                                .field("reason", end_reason)
+                                .field("frames", frames)
+                                .field("dropped", dropped)
+                                .end_object()
+                                .take();
+    write_ok =
+        write_frame(fd, fin, &error, IoDeadlines{0.0, tun.frame_timeout_s});
+  }
 
   const double wall_s = (obs::now_us() - t0) * 1e-6;
   Response summary;
@@ -750,15 +756,18 @@ Response Server::make_builtin_response(const Request& request) {
   response.id = request.id;
   if (request.type == RequestType::kHello) {
     const BuildInfo info = build_info();
-    response.payload_json =
-        "{\"protocol\":\"" + obs::escape_json(info.protocol) +
-        "\",\"version\":\"" + obs::escape_json(info.version) +
-        "\",\"git_sha\":\"" + obs::escape_json(info.git_sha) +
-        "\",\"compiler\":\"" + obs::escape_json(info.compiler) +
-        "\",\"flags\":\"" + obs::escape_json(info.flags) +
-        "\",\"build_type\":\"" + obs::escape_json(info.build_type) +
-        "\",\"cores\":" + std::to_string(info.cores) + ",\"endpoint\":\"" +
-        obs::escape_json(endpoint()) + "\"}";
+    response.payload_json = obs::JsonWriter()
+                                .begin_object()
+                                .field("protocol", info.protocol)
+                                .field("version", info.version)
+                                .field("git_sha", info.git_sha)
+                                .field("compiler", info.compiler)
+                                .field("flags", info.flags)
+                                .field("build_type", info.build_type)
+                                .field("cores", info.cores)
+                                .field("endpoint", endpoint())
+                                .end_object()
+                                .take();
   } else if (request.type == RequestType::kHealthz) {
     response.payload_json = healthz_payload();
   } else {
@@ -776,66 +785,80 @@ std::string Server::healthz_payload() const {
   }
   const double uptime_s = (obs::now_us() - start_t_us_) * 1e-6;
   const ServeTunables tun = tunables();
-  std::string out = "{\"status\":\"";
-  out += draining() ? "draining" : "ok";
-  out += "\",\"uptime_s\":" + fmt(uptime_s) +
-         ",\"sessions\":" + std::to_string(sessions) +
-         ",\"sessions_timed_out\":" +
-         std::to_string(sessions_timed_out_.load(std::memory_order_relaxed)) +
-         // oldest_wait_s is the head-of-line age: the single best signal
-         // that dispatchers are starved relative to the arrival rate.
-         ",\"queue\":{\"depth\":" + std::to_string(queue_.depth()) +
-         ",\"capacity\":" + std::to_string(queue_.capacity()) +
-         ",\"oldest_wait_s\":" + fmt(queue_.oldest_wait_seconds()) + "}" +
-         ",\"requests\":{\"total\":" +
-         std::to_string(requests_total_.load(std::memory_order_relaxed)) +
-         ",\"failed\":" +
-         std::to_string(requests_failed_.load(std::memory_order_relaxed)) +
-         ",\"rejected_overload\":" +
-         std::to_string(rejected_overload_.load(std::memory_order_relaxed)) +
-         ",\"rejected_draining\":" +
-         std::to_string(rejected_draining_.load(std::memory_order_relaxed)) +
-         ",\"rejected_deadline\":" +
-         std::to_string(rejected_deadline_.load(std::memory_order_relaxed)) +
-         "}" +
-         // Tunables are surfaced so a SIGHUP reload is observable without
-         // reading the daemon's logs.
-         ",\"tunables\":{\"queue_capacity\":" +
-         std::to_string(tun.queue_capacity) +
-         ",\"retry_after_s\":" + fmt(tun.retry_after_s) +
-         ",\"idle_timeout_s\":" + fmt(tun.idle_timeout_s) +
-         ",\"frame_timeout_s\":" + fmt(tun.frame_timeout_s) +
-         ",\"default_deadline_s\":" + fmt(tun.default_deadline_s) +
-         ",\"max_deadline_s\":" + fmt(tun.max_deadline_s) + "}" +
-         ",\"recovery\":{\"scanned\":" + std::to_string(recovery_.scanned) +
-         ",\"healthy\":" + std::to_string(recovery_.healthy) +
-         ",\"quarantined\":" + std::to_string(recovery_.quarantined) +
-         ",\"removed_tmp\":" + std::to_string(recovery_.removed_tmp) + "}" +
-         // The warm-cache proof surface: a repeated request raises hits
-         // while jobs_executed stays put.
-         ",\"cache\":{\"hits\":" + std::to_string(stats.cache.hits) +
-         ",\"misses\":" + std::to_string(stats.cache.misses) +
-         ",\"hit_rate\":" + fmt(stats.cache.hit_rate()) +
-         ",\"spill_loads\":" + std::to_string(stats.cache.spill_loads) +
-         ",\"spill_corrupt\":" + std::to_string(stats.cache.spill_corrupt) +
-         "}" +
-         ",\"engine\":{\"threads\":" + std::to_string(stats.threads) +
-         ",\"jobs_executed\":" + std::to_string(stats.jobs_executed) +
-         ",\"jobs_failed\":" + std::to_string(stats.jobs_failed) + "}" +
-         // Probe-stream accounting: lifetime streams/frames/drops plus the
-         // number of live subscriptions right now.
-         ",\"probe\":{\"streams\":" +
-         std::to_string(probe_streams_.load(std::memory_order_relaxed)) +
-         ",\"frames\":" +
-         std::to_string(probe_frames_.load(std::memory_order_relaxed)) +
-         ",\"dropped\":" +
-         std::to_string(probe_dropped_.load(std::memory_order_relaxed)) +
-         ",\"active\":" +
-         std::to_string(probe_active_.load(std::memory_order_relaxed)) + "}" +
-         // Per-tenant SLO accounting (serve/slo.h): phase histograms,
-         // shed counters and budget consumption per tenant and kind.
-         ",\"slo\":" + slo_.json() + "}";
-  return out;
+  const auto relaxed = [](const auto& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("status", draining() ? "draining" : "ok")
+      .field("uptime_s", uptime_s)
+      .field("sessions", sessions)
+      .field("sessions_timed_out", relaxed(sessions_timed_out_))
+      // oldest_wait_s is the head-of-line age: the single best signal
+      // that dispatchers are starved relative to the arrival rate.
+      .key("queue")
+      .begin_object()
+      .field("depth", queue_.depth())
+      .field("capacity", queue_.capacity())
+      .field("oldest_wait_s", queue_.oldest_wait_seconds())
+      .end_object()
+      .key("requests")
+      .begin_object()
+      .field("total", relaxed(requests_total_))
+      .field("failed", relaxed(requests_failed_))
+      .field("rejected_overload", relaxed(rejected_overload_))
+      .field("rejected_draining", relaxed(rejected_draining_))
+      .field("rejected_deadline", relaxed(rejected_deadline_))
+      .end_object()
+      // Tunables are surfaced so a SIGHUP reload is observable without
+      // reading the daemon's logs.
+      .key("tunables")
+      .begin_object()
+      .field("queue_capacity", tun.queue_capacity)
+      .field("retry_after_s", tun.retry_after_s)
+      .field("idle_timeout_s", tun.idle_timeout_s)
+      .field("frame_timeout_s", tun.frame_timeout_s)
+      .field("default_deadline_s", tun.default_deadline_s)
+      .field("max_deadline_s", tun.max_deadline_s)
+      .end_object()
+      .key("recovery")
+      .begin_object()
+      .field("scanned", recovery_.scanned)
+      .field("healthy", recovery_.healthy)
+      .field("quarantined", recovery_.quarantined)
+      .field("removed_tmp", recovery_.removed_tmp)
+      .end_object()
+      // The warm-cache proof surface: a repeated request raises hits
+      // while jobs_executed stays put.
+      .key("cache")
+      .begin_object()
+      .field("hits", stats.cache.hits)
+      .field("misses", stats.cache.misses)
+      .field("hit_rate", stats.cache.hit_rate())
+      .field("spill_loads", stats.cache.spill_loads)
+      .field("spill_corrupt", stats.cache.spill_corrupt)
+      .end_object()
+      .key("engine")
+      .begin_object()
+      .field("threads", stats.threads)
+      .field("jobs_executed", stats.jobs_executed)
+      .field("jobs_failed", stats.jobs_failed)
+      .end_object()
+      // Probe-stream accounting: lifetime streams/frames/drops plus the
+      // number of live subscriptions right now.
+      .key("probe")
+      .begin_object()
+      .field("streams", relaxed(probe_streams_))
+      .field("frames", relaxed(probe_frames_))
+      .field("dropped", relaxed(probe_dropped_))
+      .field("active", relaxed(probe_active_))
+      .end_object()
+      // Per-tenant SLO accounting (serve/slo.h): phase histograms,
+      // shed counters and budget consumption per tenant and kind.
+      .key("slo")
+      .raw(slo_.json())
+      .end_object();
+  return w.take();
 }
 
 void Server::observe_request(const Request& request, const Response& response,
@@ -882,18 +905,22 @@ void Server::observe_request(const Request& request, const Response& response,
 void Server::log_request(const Request& request, const Response& response,
                          double wall_s) {
   const std::uint64_t t_us = obs::wall_now_us();
-  std::string line =
-      "{\"t_us\":" + std::to_string(t_us) + ",\"ts\":\"" +
-      obs::format_iso8601_us(t_us) + "\",\"client\":\"" +
-      obs::escape_json(request.client) + "\",\"type\":\"" +
-      to_string(request.type) + "\",\"id\":" + std::to_string(request.id);
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("t_us", t_us)
+      .field("ts", obs::format_iso8601_us(t_us))
+      .field("client", request.client)
+      .field("type", to_string(request.type))
+      .field("id", request.id);
   if (!request.trace_id.empty()) {
     // Correlation key: the same id appears in the client's log and in
     // both trace files, so one grep joins all four views of a request.
-    line += ",\"trace_id\":\"" + obs::escape_json(request.trace_id) + "\"";
+    w.field("trace_id", request.trace_id);
   }
-  line += ",\"code\":\"" + robust::to_string(response.status.code()) +
-          "\",\"wall_s\":" + fmt(wall_s) + "}";
+  w.field("code", robust::to_string(response.status.code()))
+      .field("wall_s", wall_s)
+      .end_object();
+  const std::string& line = w.str();
   // The flight recorder sees every request, log file or not: the ring is
   // what a SIGQUIT / crash postmortem reads back.
   flight_.record(line);

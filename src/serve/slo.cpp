@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/json.h"
 
@@ -15,12 +14,6 @@ namespace {
 std::uint64_t to_us(double seconds) {
   if (seconds <= 0.0) return 0;
   return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
-}
-
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
 }
 
 }  // namespace
@@ -132,52 +125,53 @@ std::uint64_t SloTracker::total_requests() const {
 
 std::string SloTracker::json() const {
   const Snapshot snap = snapshot();
-  std::string out = "{\"requests\":" + std::to_string(total_requests()) +
-                    ",\"tenants\":{";
-  bool first_tenant = true;
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("requests", total_requests())
+      .key("tenants")
+      .begin_object();
   for (const auto& [tenant, kinds] : snap) {
-    if (!first_tenant) out += ",";
-    first_tenant = false;
-    out += "\"" + obs::escape_json(tenant) + "\":{";
-    bool first_kind = true;
+    w.key(tenant).begin_object();
     for (const auto& [kind, ks] : kinds) {
-      if (!first_kind) out += ",";
-      first_kind = false;
-      out += "\"" + obs::escape_json(kind) + "\":{";
-      out += "\"requests\":" + std::to_string(ks.requests) +
-             ",\"ok\":" + std::to_string(ks.ok) +
-             ",\"shed_overload\":" + std::to_string(ks.shed_overload) +
-             ",\"shed_draining\":" + std::to_string(ks.shed_draining) +
-             ",\"shed_deadline\":" + std::to_string(ks.shed_deadline) +
-             ",\"retryable\":" + std::to_string(ks.retryable) +
-             ",\"failed\":" + std::to_string(ks.failed);
-      const auto phase = [&out](const char* name, const Hist& h) {
-        out += ",\"" + std::string(name) +
-               "\":{\"count\":" + std::to_string(h.count) +
-               ",\"sum_s\":" + fmt(static_cast<double>(h.sum_us) * 1e-6) +
-               ",\"p50_s\":" + fmt(h.quantile(0.50)) +
-               ",\"p95_s\":" + fmt(h.quantile(0.95)) +
-               ",\"p99_s\":" + fmt(h.quantile(0.99)) +
-               ",\"max_s\":" + fmt(static_cast<double>(h.max_us) * 1e-6) +
-               "}";
+      w.key(kind)
+          .begin_object()
+          .field("requests", ks.requests)
+          .field("ok", ks.ok)
+          .field("shed_overload", ks.shed_overload)
+          .field("shed_draining", ks.shed_draining)
+          .field("shed_deadline", ks.shed_deadline)
+          .field("retryable", ks.retryable)
+          .field("failed", ks.failed);
+      const auto phase = [&w](const char* name, const Hist& h) {
+        w.key(name)
+            .begin_object()
+            .field("count", h.count)
+            .field("sum_s", static_cast<double>(h.sum_us) * 1e-6)
+            .field("p50_s", h.quantile(0.50))
+            .field("p95_s", h.quantile(0.95))
+            .field("p99_s", h.quantile(0.99))
+            .field("max_s", static_cast<double>(h.max_us) * 1e-6)
+            .end_object();
       };
       phase("queue", ks.queue);
       phase("engine", ks.engine);
       phase("render", ks.render);
       phase("total", ks.total);
-      out += ",\"budget\":{\"count\":" + std::to_string(ks.budget_count) +
-             ",\"mean_consumed\":" +
-             fmt(ks.budget_count == 0
+      w.key("budget")
+          .begin_object()
+          .field("count", ks.budget_count)
+          .field("mean_consumed",
+                 ks.budget_count == 0
                      ? 0.0
                      : static_cast<double>(ks.budget_sum_ppm) * 1e-6 /
-                           static_cast<double>(ks.budget_count)) +
-             ",\"over\":" + std::to_string(ks.over_budget) + "}";
-      out += "}";
+                           static_cast<double>(ks.budget_count))
+          .field("over", ks.over_budget)
+          .end_object()
+          .end_object();
     }
-    out += "}";
+    w.end_object();
   }
-  out += "}}";
-  return out;
+  return w.end_object().end_object().take();
 }
 
 }  // namespace swsim::serve

@@ -2,7 +2,9 @@
 // armed/disarmed gating, registry identity, and the JSON export shape.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -147,6 +149,29 @@ TEST_F(MetricsTest, JsonExportRoundTrips) {
   // The overflow bucket's "le" is the string "inf", not a number.
   EXPECT_EQ(buckets[2].array()[0].str(), "inf");
   EXPECT_DOUBLE_EQ(buckets[2].array()[1].number(), 1.0);
+}
+
+TEST_F(MetricsTest, NonFiniteSumDumpsAsNull) {
+  // JSON has no NaN or Inf: a histogram that saw them must still dump a
+  // parseable document, with the poisoned sum written as null. The cli
+  // ctest cli_stats_null_sum feeds these exact bytes to `swsim stats`.
+  auto& reg = MetricsRegistry::global();
+  Histogram& h = reg.histogram("test.obs_metrics.nonfinite", {1.0});
+  h.reset();
+  h.observe(std::numeric_limits<double>::infinity());
+  h.observe(std::numeric_limits<double>::quiet_NaN());
+
+  const std::string dump = reg.json();
+  EXPECT_NE(dump.find(R"("test.obs_metrics.nonfinite":{"count":2,"sum":null,)"
+                      R"("buckets":[[1,1],["inf",1]]})"),
+            std::string::npos)
+      << dump;
+  const JsonValue root = parse_json(dump);
+  const auto* hist =
+      root.find("histograms")->find("test.obs_metrics.nonfinite");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->find("count")->number(), 2.0);
+  EXPECT_TRUE(hist->find("sum")->is_null());
 }
 
 TEST_F(MetricsTest, SnapshotsAreLexicographicallySorted) {

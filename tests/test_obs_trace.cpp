@@ -326,6 +326,38 @@ TEST(TraceMerge, ThreeDumpsRebaseOntoTheEarliestAnchor) {
   EXPECT_DOUBLE_EQ(rebased[3], 2010.0);
 }
 
+TEST(TraceMerge, SixteenDigitAnchorsAndRebasedTimestampsStayExact) {
+  // Real epoch-microsecond anchors have 16 digits, and process-relative
+  // timestamps carry sub-microsecond fractions: a 15-digit rendering
+  // would move the merged anchor and round the rebased ts values.
+  const double early = 1'760'000'000'123'456.0;
+  const JsonValue late_doc = parse_json(
+      R"({"traceEvents":[{"name":"a","ph":"X","ts":123456.78901234568,)"
+      R"("dur":5,"pid":0,"tid":1}],)"
+      R"("otherData":{"wall_anchor_us":1760000000123459}})");
+  const JsonValue early_doc = parse_json(
+      R"({"traceEvents":[{"name":"b","ph":"X","ts":0.30000000000000004,)"
+      R"("dur":5,"pid":0,"tid":1}],)"
+      R"("otherData":{"wall_anchor_us":1760000000123456}})");
+  const double late_ts =
+      late_doc.find("traceEvents")->array()[0].find("ts")->number();
+  const double early_ts =
+      early_doc.find("traceEvents")->array()[0].find("ts")->number();
+
+  const JsonValue root = parse_json(merge_trace_dumps(
+      {{"late.json", &late_doc}, {"early.json", &early_doc}}));
+  EXPECT_EQ(root.find("otherData")->find("wall_anchor_us")->number(), early);
+  std::map<long long, double> rebased;
+  for (const auto& e : root.find("traceEvents")->array()) {
+    if (e.find("ph")->str() != "X") continue;
+    rebased[static_cast<long long>(e.find("pid")->number())] =
+        e.find("ts")->number();
+  }
+  ASSERT_EQ(rebased.size(), 2u);
+  EXPECT_EQ(rebased[1], late_ts + 3.0);  // anchor 3 us after the earliest
+  EXPECT_EQ(rebased[2], early_ts);
+}
+
 TEST(TraceMerge, SingleDumpIsRebasedAndLabelled) {
   const JsonValue only = parse_json(dump_json(2e12, 42.0, "solo"));
   TraceMergeStats stats;

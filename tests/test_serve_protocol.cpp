@@ -222,10 +222,50 @@ TEST(ServeProtocol, StatusCodeNamesRoundTripAndFailClosed) {
 
 TEST(ServeProtocol, DumpJsonIsDeterministic) {
   // Two key orders, one rendering: JsonValue objects sort their keys, so
-  // dump_json gives byte-stable documents for comparisons and logs.
+  // the writer gives byte-stable documents for comparisons and logs.
   const std::string a = R"({"zeta":1,"alpha":{"b":2,"a":[1,2,3]}})";
   const std::string b = R"({"alpha":{"a":[1,2,3],"b":2},"zeta":1})";
-  EXPECT_EQ(dump_json(obs::parse_json(a)), dump_json(obs::parse_json(b)));
+  const auto dump = [](const std::string& text) {
+    return obs::JsonWriter().value(obs::parse_json(text)).take();
+  };
+  EXPECT_EQ(dump(a), dump(b));
+  EXPECT_EQ(dump(a), b);
+}
+
+TEST(ServeProtocol, WireLayoutIsCompactWithFixedKeyOrder) {
+  // Key order and separators are the wire contract; numbers are the
+  // shortest spelling that parses back to the same double.
+  Response r;
+  r.id = 7;
+  r.retry_after_s = 0.25;
+  r.text = "MAJ3 row 1\n\"ok\"";
+  r.all_pass = 1.0;
+  r.min_margin = 0.05;
+  r.timing.queue_s = 0.0001;
+  r.timing.total_s = 100.0;
+  r.payload_json = R"({"b":1})";
+  EXPECT_EQ(serialize_response(r),
+            R"({"proto":"swsim.serve/1","id":7,"status":{"code":"ok",)"
+            R"("message":"","context":""},"retry_after_s":0.25,)"
+            R"("text":"MAJ3 row 1\n\"ok\"","scalars":{"all_pass":1,)"
+            R"("min_margin":0.05},"timing":{"queue_s":1e-04,"total_s":100},)"
+            R"("payload":{"b":1}})");
+
+  Request q;
+  q.type = RequestType::kYield;
+  q.id = 3;
+  q.client = "t";
+  q.deadline_s = 2.5e-07;
+  q.yield.kind = "xor";
+  q.yield.lambda_nm = 55.0;
+  q.yield.sigma_length_nm = 1e-05;
+  q.yield.sigma_amp = 0.05;
+  q.yield.trials = 200;
+  EXPECT_EQ(serialize_request(q),
+            R"({"proto":"swsim.serve/1","type":"yield","id":3,"client":"t",)"
+            R"("priority":0,"deadline_s":2.5e-07,"gate":"xor",)"
+            R"("lambda_nm":55,"sigma_length_nm":1e-05,"sigma_amp":0.05,)"
+            R"("trials":200})");
 }
 
 TEST(ServeProtocol, SerializedRequestIsValidJson) {
