@@ -9,8 +9,8 @@
 #      result cache.
 #   3. an Address+UBSan build of the robustness tests (fault injection,
 #      scheduler timeouts/retries, cache corruption) — the failure paths
-#      are exactly where lifetime bugs hide — and of the JSON writer with
-#      the outputs built on it.
+#      are exactly where lifetime bugs hide — of the JSON writer with the
+#      outputs built on it, and of the CLI argument parser.
 #   4. an observability smoke run: a traced + metered batch over the fault
 #      example, then `swsim trace-check` / `swsim stats` validate the
 #      dumps the run produced — the trace JSON and metrics JSON must parse
@@ -105,10 +105,13 @@ else
   ASAN_DIR="${BUILD_DIR}-asan"
   # The JSON writer and its callers ride along: the writer escapes
   # client-supplied strings (tenant names, trace ids) into every output.
+  # So do the parsers of outside input: the serve protocol and the CLI
+  # arguments.
   ASAN_TESTS=(test_robust_status test_robust_watchdog test_robust_fault
               test_engine_resilience test_engine_pool test_engine_cache
               test_obs_json test_serve_protocol test_obs_metrics
-              test_obs_trace test_obs_profile test_bench_harness)
+              test_obs_trace test_obs_profile test_bench_harness
+              test_cli_args)
 
   echo "== stage 3: ASan+UBSan robustness tests (${ASAN_DIR}) =="
   cmake -B "${ASAN_DIR}" -S . \

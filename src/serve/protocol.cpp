@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "obs/trace.h"
@@ -34,6 +35,27 @@ robust::Status read_number(const obs::JsonValue& doc, const std::string& key,
   }
   *out = v->number();
   *present = true;
+  return robust::Status::ok();
+}
+
+// Integer fields travel as JSON numbers (doubles): anything above 2^53 has
+// already lost integer precision.
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
+// An integral number in [lo, hi], or absent. Every integer field goes
+// through here: casting a double outside the target type's range is
+// undefined behaviour, so the check must come before the cast.
+robust::Status read_integer(const obs::JsonValue& doc, const std::string& key,
+                            double lo, double hi, double* out,
+                            bool* present) {
+  if (auto s = read_number(doc, key, out, present); !s.is_ok() || !*present) {
+    return s;
+  }
+  if (*out != std::floor(*out) || *out < lo || *out > hi) {
+    return invalid("'" + key + "' must be an integer in [" +
+                   obs::format_number(lo) + ", " + obs::format_number(hi) +
+                   "]");
+  }
   return robust::Status::ok();
 }
 
@@ -117,11 +139,11 @@ robust::Status parse_request(const obs::JsonValue& doc, Request* out) {
   }
 
   double num = 0.0;
-  if (auto s = read_number(doc, "id", &num, &present); !s.is_ok()) return s;
-  if (present) {
-    if (num < 0.0) return invalid("'id' must be >= 0");
-    out->id = static_cast<std::uint64_t>(num);
+  if (auto s = read_integer(doc, "id", 0.0, kMaxExactInteger, &num, &present);
+      !s.is_ok()) {
+    return s;
   }
+  if (present) out->id = static_cast<std::uint64_t>(num);
   if (auto s = read_string(doc, "client", &out->client, &present);
       !s.is_ok()) {
     return s;
@@ -130,7 +152,10 @@ robust::Status parse_request(const obs::JsonValue& doc, Request* out) {
     return invalid("'client' must be non-empty");
   }
   if (!present) out->client = "anon";
-  if (auto s = read_number(doc, "priority", &num, &present); !s.is_ok()) {
+  if (auto s = read_integer(doc, "priority",
+                            std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max(), &num, &present);
+      !s.is_ok()) {
     return s;
   }
   if (present) out->priority = static_cast<int>(num);
@@ -162,15 +187,12 @@ robust::Status parse_request(const obs::JsonValue& doc, Request* out) {
   }
 
   if (out->type == RequestType::kProbeSubscribe) {
-    if (auto s = read_number(doc, "max_frames", &num, &present); !s.is_ok()) {
+    if (auto s = read_integer(doc, "max_frames", 0.0, kMaxExactInteger, &num,
+                              &present);
+        !s.is_ok()) {
       return s;
     }
-    if (present) {
-      if (num < 0.0 || num != std::floor(num)) {
-        return invalid("'max_frames' must be a non-negative integer");
-      }
-      out->probe_max_frames = static_cast<std::uint64_t>(num);
-    }
+    if (present) out->probe_max_frames = static_cast<std::uint64_t>(num);
     if (auto s = read_number(doc, "duration_s", &num, &present); !s.is_ok()) {
       return s;
     }
@@ -274,15 +296,12 @@ robust::Status parse_request(const obs::JsonValue& doc, Request* out) {
     if (num < 0.0) return invalid("'sigma_amp' must be >= 0");
     out->yield.sigma_amp = num;
   }
-  if (auto s = read_number(doc, "trials", &num, &present); !s.is_ok()) {
+  if (auto s = read_integer(doc, "trials", 1.0, kMaxExactInteger, &num,
+                            &present);
+      !s.is_ok()) {
     return s;
   }
-  if (present) {
-    if (num < 1.0 || num != std::floor(num)) {
-      return invalid("'trials' must be a positive integer");
-    }
-    out->yield.trials = static_cast<std::size_t>(num);
-  }
+  if (present) out->yield.trials = static_cast<std::size_t>(num);
   return robust::Status::ok();
 }
 
@@ -386,9 +405,13 @@ robust::Status parse_response_text(const std::string& text, Response* out) {
     return invalid(std::string("malformed response JSON: ") + e.what());
   }
   if (!doc.is_object()) return invalid("response must be a JSON object");
-  if (const auto* id = doc.find("id"); id && id->is_number()) {
-    out->id = static_cast<std::uint64_t>(id->number());
+  double id = 0.0;
+  bool present = false;
+  if (auto s = read_integer(doc, "id", 0.0, kMaxExactInteger, &id, &present);
+      !s.is_ok()) {
+    return s;
   }
+  if (present) out->id = static_cast<std::uint64_t>(id);
   const auto* status = doc.find("status");
   if (!status || !status->is_object()) {
     return invalid("response is missing 'status'");

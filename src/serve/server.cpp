@@ -194,6 +194,12 @@ robust::Status Server::start() {
                          "or a TCP port",
                          "serve");
   }
+  if (config_.tcp_port > 65535) {
+    return Status::error(StatusCode::kInvalidConfig,
+                         "TCP port " + std::to_string(config_.tcp_port) +
+                             " is out of range (1-65535)",
+                         "serve");
+  }
 
   if (unix_ep) {
     sockaddr_un addr{};

@@ -5,16 +5,57 @@
 namespace swsim::cli {
 namespace {
 
-Args parse(std::initializer_list<const char*> tokens) {
+const FlagGroup kShared{"shared", {{"jobs", "n"}, {"stats"}}};
+
+Command entry(std::string_view name, std::string_view usage,
+              std::vector<Flag> flags,
+              std::vector<const FlagGroup*> groups = {}) {
+  return {name, usage, std::move(flags), std::move(groups), "", nullptr};
+}
+
+// A small command table in the shape of the real one: own flags, a shared
+// group, and a "group sub" entry.
+const std::vector<Command>& table() {
+  static const std::vector<Command> commands = {
+      entry("cmd", "[word...]",
+            {{"a"},
+                    {"b", "n"},
+                    {"x", "v"},
+                    {"y", "v"},
+                    {"offset", "n"},
+                    {"lambda", "nm"},
+                    {"verbose"},
+                    {"gate", "g"},
+                    {"tag", "t"},
+                    {"jobs", "n"},
+                    {"inject", "spec"}}),
+      entry("truthtable", "<gate> [extra]", {{"lambda", "nm"}}, {&kShared}),
+      entry("yield", "[gate]", {{"trials", "n"}, {"gate", "g"}}, {&kShared}),
+      entry("micromag", "", {{"xor"}, {"cell", "nm"}}),
+      entry("batch", "", {{"gate", "g"}, {"trials", "n"}}, {&kShared}),
+      entry("probe record", "", {{"out", "csv"}}),
+      entry("help", "", {}),
+  };
+  return commands;
+}
+
+Invocation parse_line(std::initializer_list<const char*> tokens) {
   std::vector<const char*> argv{"swsim"};
   argv.insert(argv.end(), tokens.begin(), tokens.end());
-  return Args::parse(static_cast<int>(argv.size()), argv.data());
+  return parse_command_line(table(), static_cast<int>(argv.size()),
+                            argv.data());
+}
+
+Args parse(std::initializer_list<const char*> tokens) {
+  return parse_line(tokens).args;
 }
 
 TEST(Args, EmptyCommandLine) {
-  const Args a = parse({});
-  EXPECT_TRUE(a.command().empty());
-  EXPECT_TRUE(a.positional().empty());
+  // No command names the help entry.
+  const Invocation call = parse_line({});
+  EXPECT_EQ(call.command->name, "help");
+  EXPECT_TRUE(call.args.positional().empty());
+  EXPECT_EQ(parse_line({"--help"}).command->name, "help");
 }
 
 TEST(Args, CommandAndPositionals) {
@@ -23,6 +64,11 @@ TEST(Args, CommandAndPositionals) {
   ASSERT_EQ(a.positional().size(), 2u);
   EXPECT_EQ(a.positional()[0], "maj");
   EXPECT_EQ(a.positional()[1], "extra");
+  // A "group sub" command consumes both words.
+  const Args r = parse({"probe", "record", "--out", "f.csv"});
+  EXPECT_EQ(r.command(), "probe record");
+  EXPECT_TRUE(r.positional().empty());
+  EXPECT_EQ(r.value("out").value(), "f.csv");
 }
 
 TEST(Args, KeyValueOptions) {
@@ -83,10 +129,10 @@ TEST(Args, RepeatedOptionRejected) {
 }
 
 TEST(Args, OptionBeforeCommandMeansNoCommand) {
-  const Args a = parse({"--verbose", "thing"});
-  EXPECT_TRUE(a.command().empty());
-  EXPECT_TRUE(a.has("verbose"));
-  EXPECT_EQ(a.value("verbose").value(), "thing");
+  // "swsim --jobs 4 truthtable maj" is a usage error, not help.
+  EXPECT_THROW(parse({"--verbose", "thing"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--jobs", "4", "truthtable", "maj"}),
+               std::invalid_argument);
 }
 
 TEST(Args, EqualsSyntaxIsASynonym) {
@@ -121,6 +167,55 @@ TEST(Args, UnsignedIntegerRejectsNegativeCounts) {
   }
   EXPECT_EQ(a.unsigned_integer("trials", 0), 16u);
   EXPECT_EQ(a.unsigned_integer("missing", 9), 9u);  // fallback untouched
+}
+
+TEST(Args, BooleanFlagLeavesTheNextWordPositional) {
+  // "yield --stats xor": --stats never swallows the gate name.
+  const Args a = parse({"yield", "--stats", "xor", "--trials", "20"});
+  EXPECT_TRUE(a.has("stats"));
+  ASSERT_EQ(a.positional().size(), 1u);
+  EXPECT_EQ(a.positional()[0], "xor");
+  EXPECT_EQ(a.integer("trials", 0), 20);
+}
+
+TEST(Args, ValueFlagAtEndOfLineIsAUsageError) {
+  // A trailing "--lambda" must not fall back to the default wavelength.
+  EXPECT_THROW(parse({"truthtable", "maj", "--lambda"}),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"cmd", "--b", "--a"}), std::invalid_argument);
+}
+
+TEST(Args, EqualsValueOnBooleanFlagIsAUsageError) {
+  EXPECT_THROW(parse({"cmd", "--a=1"}), std::invalid_argument);
+  EXPECT_THROW(parse({"truthtable", "maj", "--stats=yes"}),
+               std::invalid_argument);
+}
+
+TEST(Args, UnknownFlagNamesTheCommandAndTheFlag) {
+  try {
+    parse({"truthtable", "maj", "--lamda", "60"});
+    FAIL() << "typo flag accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("truthtable"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("--lamda"), std::string::npos);
+  }
+  // Shared-group flags are accepted only where the group is.
+  EXPECT_NO_THROW(parse({"truthtable", "maj", "--jobs", "2"}));
+  EXPECT_THROW(parse({"micromag", "--jobs", "2"}), std::invalid_argument);
+  // Parsing against an entry's own flags (a batch job line) leaves the
+  // shared group out.
+  const std::vector<std::string> words = {"maj", "--jobs", "2"};
+  EXPECT_THROW(Args::parse(table()[1], words, /*shared=*/false),
+               std::invalid_argument);
+}
+
+TEST(Args, PositionalArityComesFromTheUsage) {
+  // "<x>" is required, "[x]" optional, "..." repeats; nothing else fits.
+  EXPECT_THROW(parse({"truthtable"}), std::invalid_argument);
+  EXPECT_THROW(parse({"truthtable", "maj", "xor", "xnor"}),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"micromag", "maj"}), std::invalid_argument);
+  EXPECT_EQ(parse({"cmd", "1", "2", "3", "4"}).positional().size(), 4u);
 }
 
 }  // namespace

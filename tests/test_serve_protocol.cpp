@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -161,6 +163,33 @@ TEST(ServeProtocol, StrictValidationRejectsBeforeAnyWorkRuns) {
             robust::StatusCode::kInvalidConfig);
   // Not JSON at all.
   EXPECT_EQ(parse_request_text("not json", &r).code(),
+            robust::StatusCode::kInvalidConfig);
+  // Integer fields out of their type's range, or not integral: casting
+  // such a double is undefined behaviour, so they are refused outright.
+  for (const char* text :
+       {R"({"type":"yield","gate":"maj","trials":1e30})",
+        R"({"type":"yield","gate":"maj","trials":2.5})",
+        R"({"type":"hello","priority":1e30})",
+        R"({"type":"hello","priority":-3e9})",
+        R"({"type":"probe.subscribe","max_frames":1e30})",
+        R"({"type":"hello","id":1e30})",
+        R"({"type":"hello","id":1.5})"}) {
+    EXPECT_EQ(parse_request_text(text, &r).code(),
+              robust::StatusCode::kInvalidConfig)
+        << text;
+  }
+  // The limits themselves are fine: int for priority, 2^53 for the others.
+  ASSERT_TRUE(
+      parse_request_text(
+          R"({"type":"hello","id":9007199254740992,"priority":-2147483648})",
+          &r)
+          .is_ok());
+  EXPECT_EQ(r.id, 9007199254740992u);
+  EXPECT_EQ(r.priority, std::numeric_limits<int>::min());
+  Response reply;
+  EXPECT_EQ(parse_response_text(R"({"id":1e30,"status":{"code":"ok"}})",
+                                &reply)
+                .code(),
             robust::StatusCode::kInvalidConfig);
 }
 

@@ -569,6 +569,11 @@ TEST(ServeServer, StartRefusesAmbiguousEndpoints) {
   both_cfg.tcp_port = 39999;
   Server both(both_cfg);
   EXPECT_EQ(both.start().code(), robust::StatusCode::kInvalidConfig);
+
+  ServerConfig wide;  // 70000 must not wrap to port 4464 as a uint16_t
+  wide.tcp_port = 70000;
+  Server wrapped(wide);
+  EXPECT_EQ(wrapped.start().code(), robust::StatusCode::kInvalidConfig);
 }
 
 }  // namespace
