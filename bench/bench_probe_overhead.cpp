@@ -5,13 +5,16 @@
 // fan-out contract: an abandoned slow subscriber loses its oldest frames
 // (dropped counter) and can never hang the solver or the stream.
 //
-// Self-gating: armed overhead must stay <= 5% and hung_streams == 0.
-#include <algorithm>
+// Disarmed and armed solves alternate for a fixed number of pairs, so host
+// speed drift lands on both sides alike; every sample is recorded.
+// Self-gating: the median paired armed overhead must stay <= 5% and
+// hung_streams == 0.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench/harness.h"
 #include "core/micromag_gate.h"
@@ -42,23 +45,23 @@ core::MicromagGateConfig bench_config(bool live_probes, bool quick) {
   return cfg;
 }
 
-// Best-of-n wall time of one LLG evaluation with a pre-injected
-// calibration, so only the solve itself is timed.
+// Wall time of one LLG evaluation with a pre-injected calibration, so
+// only the solve itself is timed.
 double time_solve(const core::MicromagGateConfig& cfg,
-                  const core::MicromagCalibration& calib, int n) {
-  double best = 1e300;
-  for (int i = 0; i < n; ++i) {
-    core::MicromagTriangleGate gate(cfg);
-    gate.set_calibration(calib);
-    const double t0 = now_s();
-    (void)gate.evaluate_full({true, false, true});
-    best = std::min(best, now_s() - t0);
-  }
-  return best;
+                  const core::MicromagCalibration& calib) {
+  core::MicromagTriangleGate gate(cfg);
+  gate.set_calibration(calib);
+  const double t0 = now_s();
+  (void)gate.evaluate_full({true, false, true});
+  return now_s() - t0;
 }
 
 double pct_over(double value, double base) {
   return base > 0.0 ? (value - base) / base * 100.0 : 0.0;
+}
+
+double median(const std::vector<double>& samples) {
+  return bench::compute_stats(samples).median;
 }
 
 }  // namespace
@@ -66,7 +69,7 @@ double pct_over(double value, double base) {
 int main(int argc, char** argv) {
   bench::Harness harness("probe_overhead", &argc, argv);
   const bool quick = harness.quick();
-  const int reps = quick ? 2 : 3;
+  const int pairs = quick ? 3 : 9;
 
   // One calibration feeds every timed solve; live_probes is passive, so
   // the reference run is identical for both configurations.
@@ -76,26 +79,18 @@ int main(int argc, char** argv) {
     calib = gate.calibrate();
   }
 
-  // (a) Disarmed baseline: no live demodulators, metrics off.
-  obs::MetricsRegistry::disarm();
-  double base_s = time_solve(bench_config(false, quick), calib, reps);
-
-  // (b) Armed: per-probe online lock-in, convergence tracking, gauges,
-  // counters, energy series — everything but a stream consumer.
-  obs::MetricsRegistry::arm();
-  double armed_s = time_solve(bench_config(true, quick), calib, reps);
-  double armed_overhead_pct = pct_over(armed_s, base_s);
-  // Timing noise on a seconds-scale solve can fake a miss; remeasure both
-  // sides once before letting the gate fail.
-  if (armed_overhead_pct > 5.0) {
+  // (a) Disarmed (no live demodulators, metrics off) against (b) armed
+  // (per-probe online lock-in, convergence tracking, gauges, counters,
+  // energy series — everything but a stream consumer), one pair at a time.
+  std::vector<double> base_s, armed_s, overhead_pct;
+  for (int i = 0; i < pairs; ++i) {
     obs::MetricsRegistry::disarm();
-    base_s = std::min(base_s, time_solve(bench_config(false, quick), calib,
-                                         reps));
+    base_s.push_back(time_solve(bench_config(false, quick), calib));
     obs::MetricsRegistry::arm();
-    armed_s = std::min(armed_s, time_solve(bench_config(true, quick), calib,
-                                           reps));
-    armed_overhead_pct = pct_over(armed_s, base_s);
+    armed_s.push_back(time_solve(bench_config(true, quick), calib));
+    overhead_pct.push_back(pct_over(armed_s.back(), base_s.back()));
   }
+  const double armed_overhead_pct = median(overhead_pct);
 
   // (c) Streaming on top: one live consumer draining frames, plus an
   // abandoned subscriber (capacity 2, never drained) that must shed its
@@ -112,7 +107,10 @@ int main(int argc, char** argv) {
       }
     }
   });
-  const double streamed_s = time_solve(bench_config(true, quick), calib, reps);
+  std::vector<double> streamed_s;
+  for (int i = 0; i < pairs; ++i) {
+    streamed_s.push_back(time_solve(bench_config(true, quick), calib));
+  }
   stop.store(true, std::memory_order_relaxed);
   const double j0 = now_s();
   consumer.join();  // bounded: next() waits at most 50 ms per round
@@ -124,29 +122,31 @@ int main(int argc, char** argv) {
   slow.reset();
   obs::MetricsRegistry::disarm();
 
-  harness.record_samples("disarmed_solve", "s", {base_s});
-  harness.record_samples("armed_solve", "s", {armed_s});
-  harness.record_samples("streamed_solve", "s", {streamed_s});
+  harness.record_samples("disarmed_solve", "s", base_s);
+  harness.record_samples("armed_solve", "s", armed_s);
+  harness.record_samples("streamed_solve", "s", streamed_s);
   harness.add_scalar("armed_overhead_pct", armed_overhead_pct);
-  harness.add_scalar("streaming_overhead_pct", pct_over(streamed_s, armed_s));
+  harness.add_scalar("streaming_overhead_pct",
+                     pct_over(median(streamed_s), median(armed_s)));
   harness.add_scalar("frames_streamed", static_cast<double>(frames_streamed));
   harness.add_scalar("frames_dropped_slow",
                      static_cast<double>(frames_dropped));
   harness.add_scalar("hung_streams", static_cast<double>(hung_streams));
 
   std::printf(
-      "probe overhead: disarmed %.3f s, armed %.3f s (%+.2f%%), "
-      "streamed %.3f s; %llu frames consumed, %llu dropped by the "
-      "abandoned subscriber\n",
-      base_s, armed_s, armed_overhead_pct, streamed_s,
+      "probe overhead (medians of %d): disarmed %.3f s, armed %.3f s "
+      "(paired %+.2f%%), streamed %.3f s; %llu frames consumed, %llu "
+      "dropped by the abandoned subscriber\n",
+      pairs, median(base_s), median(armed_s), armed_overhead_pct,
+      median(streamed_s),
       static_cast<unsigned long long>(frames_streamed),
       static_cast<unsigned long long>(frames_dropped));
 
   bool ok = harness.finish();
   if (armed_overhead_pct > 5.0) {
     std::fprintf(stderr,
-                 "bench_probe_overhead: armed overhead %.2f%% exceeds the "
-                 "5%% budget\n",
+                 "bench_probe_overhead: median paired armed overhead %.2f%% "
+                 "exceeds the 5%% budget\n",
                  armed_overhead_pct);
     ok = false;
   }

@@ -14,12 +14,15 @@ namespace swsim::cli {
 
 // The command table; batch checks its job lines against its entries.
 std::span<const Command> commands();
+// The workload flags `client` accepts; each request type takes only those
+// its local command declares.
+extern const FlagGroup kWorkloadFlags;
 
 // The handlers, by file: solve.cpp, readers.cpp, serve.cpp, bench.cpp.
 Handler cmd_truthtable, cmd_dispersion, cmd_yield, cmd_compare, cmd_micromag,
     cmd_batch, cmd_probe_record;
 Handler cmd_stats, cmd_trace_check, cmd_trace_merge, cmd_probe_spectrum;
-Handler cmd_version, cmd_serve, cmd_client, cmd_loadgen, cmd_probe_tail;
+Handler cmd_version, cmd_serve, cmd_client, cmd_probe_tail;
 Handler cmd_bench_list, cmd_bench_run, cmd_bench_diff, cmd_bench_gate;
 
 // Shared parsers: one copy each, for the local command and `client`.

@@ -45,6 +45,17 @@ Handler cmd_help;
 
 }  // namespace
 
+const FlagGroup kWorkloadFlags{
+    "workload",
+    {{"gate", "name", "yield: the gate, unless given as [gate]"},
+     {"lambda", "nm", "spin-wave wavelength"},
+     {"width", "nm", "waveguide width"},
+     {"sigma-length", "nm", "yield: length spread"},
+     {"sigma-amp", "frac", "yield: amplitude spread"},
+     {"trials", "n", "yield: virtual devices"},
+     {"cell", "nm", "micromag: cell size"},
+     {"early-stop", "", "micromag: end settled solves"}}};
+
 std::span<const Command> commands() {
   const std::vector<const FlagGroup*> solve = {&kEngineFlags, &kRunFlags};
   static const std::vector<Command> table = {
@@ -85,18 +96,10 @@ std::span<const Command> commands() {
        {{"client", "name"}, {"priority", "n"}, {"id", "n"}, {"deadline", "s"},
         {"max-attempts", "n"}, {"retry-base", "s"}, {"retry-max", "s"},
         {"retry-seed", "n"}, {"chaos", "spec"}, {"verify"}, {"timing"},
-        {"trace-id", "id"}, {"trace-out", "f"}, {"gate", "name"},
-        {"lambda", "nm"}, {"width", "nm"}, {"sigma-length", "nm"},
-        {"sigma-amp", "frac"}, {"trials", "n"}, {"cell", "nm"},
-        {"early-stop"}}, {&kEndpointFlags},
-       "one request to a daemon; --verify byte-compares a local recompute",
-       cmd_client},
-      {"loadgen", "", {{"duration", "s"}, {"rps", "n"}, {"concurrency", "n"},
-       {"requests", "n"}, {"seed", "n"}, {"mix", "tt:yield:hello"},
-       {"trials", "n"}, {"deadline", "s"}, {"call-timeout", "s"},
-       {"tenant", "prefix"}, {"trace-id", "id"}, {"out-dir", "dir"},
-       {"quick"}}, {&kEndpointFlags},
-       "multi-tenant load; writes BENCH_serve_throughput.json", cmd_loadgen},
+        {"trace-id", "id"}, {"trace-out", "f"}},
+       {&kEndpointFlags, &kWorkloadFlags},
+       "one request to a daemon, taking the workload flags its local command "
+       "takes; --verify byte-compares a local recompute", cmd_client},
       {"probe record", "", {{"xor"}, {"lambda", "nm"}, {"width", "nm"},
        {"cell", "nm"}, {"pattern", "bits"}, {"out", "csv"}, {"cell-jobs", "n"}},
        {}, "one LLG solve; detector series to --out", cmd_probe_record},
@@ -165,7 +168,8 @@ int cmd_help(const Args&) {
     }
     if (!usage.empty()) print_wrapped("", usage, 18);
   }
-  for (const FlagGroup* g : {&kEngineFlags, &kRunFlags, &kEndpointFlags}) {
+  for (const FlagGroup* g :
+       {&kEngineFlags, &kRunFlags, &kEndpointFlags, &kWorkloadFlags}) {
     std::cout << '\n' << g->name << " flags:\n";
     for (const Flag& f : g->flags) {
       print_wrapped("  " + synopsis(f), words(f.note), 24);

@@ -1,15 +1,14 @@
 // Serve and client commands: the long-lived daemon (protocol
-// swsim.serve/1, see docs/SERVING.md), one-shot requests against it, the
-// load generator and the live probe stream.
+// swsim.serve/1, see docs/SERVING.md), one-shot requests against it and
+// the live probe stream.
 #include <unistd.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
-#include "bench/harness.h"
 #include "cli/commands.h"
 #include "core/validator.h"
 #include "io/table.h"
@@ -18,7 +17,6 @@
 #include "serve/chaos.h"
 #include "serve/client.h"
 #include "serve/codec.h"
-#include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/version.h"
@@ -41,6 +39,28 @@ std::pair<std::string, int> endpoint_from(const Args& args) {
         ": need exactly one of --socket <path> or --port <1-65535>");
   }
   return {socket, static_cast<int>(port)};
+}
+
+// A request takes the workload flags (and the gate) its local command
+// takes, so `client ... truthtable maj --trials 5` is refused as `swsim
+// truthtable maj --trials 5` is; hello, healthz and metrics take none.
+void check_workload_flags(const std::string& type, const Args& args) {
+  const auto table = commands();
+  const auto local = std::ranges::find(table, type, &Command::name);
+  const bool builtin = local == table.end();
+  if (builtin && args.positional().size() > 1) {
+    throw std::invalid_argument("client " + type + ": unexpected argument '" +
+                                args.positional()[1] + "'");
+  }
+  const std::span<const Flag> takes =
+      builtin ? std::span<const Flag>() : local->flags;
+  for (const Flag& f : kWorkloadFlags.flags) {
+    if (args.has(std::string(f.name)) &&
+        std::ranges::find(takes, f.name, &Flag::name) == takes.end()) {
+      throw std::invalid_argument("client " + type + ": flag --" +
+                                  std::string(f.name) + " does not apply");
+    }
+  }
 }
 
 // Client exit codes: 0 ok (truthtable: all_pass), 1 remote/logic failure
@@ -145,6 +165,7 @@ int cmd_client(const Args& args) {
               << "' (want hello|healthz|metrics|truthtable|yield|micromag)\n";
     return 2;
   }
+  check_workload_flags(type, args);
 
   // Cross-process trace context: --trace-id stamps the request so the
   // daemon's spans and request log carry it; --trace-out additionally
@@ -331,118 +352,6 @@ int cmd_client(const Args& args) {
   if (request.type == serve::RequestType::kTruthTable &&
       serve::Response::set(response.all_pass)) {
     return response.all_pass != 0.0 ? 0 : 1;
-  }
-  return 0;
-}
-
-// The multi-tenant load generator (serve/loadgen.h) against a live daemon.
-// Prints a summary and writes BENCH_serve_throughput.json through the
-// shared bench harness, so a loadgen run gates against the committed
-// baseline exactly like the in-process bench binary (the case name matches
-// the loop mode).
-int cmd_loadgen(const Args& args) {
-  serve::LoadgenConfig cfg;
-  std::tie(cfg.socket_path, cfg.tcp_port) = endpoint_from(args);
-  const bool quick = args.has("quick");
-  cfg.duration_s = args.number("duration", quick ? 2.0 : 10.0);
-  cfg.max_requests = args.unsigned_integer("requests", 0);
-  cfg.target_rps = args.number("rps", 0.0);
-  cfg.concurrency = args.unsigned_integer("concurrency", 4);
-  cfg.seed = args.unsigned_integer("seed", 1);
-  cfg.yield_trials = args.unsigned_integer("trials", 40);
-  cfg.deadline_s = args.number("deadline", 0.0);
-  cfg.call_timeout_s = args.number("call-timeout", 30.0);
-  cfg.tenant_prefix = args.value("tenant").value_or("loadgen");
-  cfg.trace_id = args.value("trace-id").value_or("");
-  if (const auto mix = args.value("mix")) {
-    // --mix tt:yield:hello, e.g. "6:2:2" (any non-negative scale).
-    double* w[3] = {&cfg.weight_truthtable, &cfg.weight_yield,
-                    &cfg.weight_hello};
-    int used = 0;
-    if (std::sscanf(mix->c_str(), "%lf:%lf:%lf%n", w[0], w[1], w[2],
-                    &used) != 3 ||
-        used != static_cast<int>(mix->size()) || *w[0] < 0.0 ||
-        *w[1] < 0.0 || *w[2] < 0.0) {
-      std::cerr << "loadgen: --mix wants three non-negative weights "
-                   "'tt:yield:hello' (e.g. 6:2:2)\n";
-      return 2;
-    }
-  }
-
-  const bool open_loop = cfg.target_rps > 0.0;
-  std::cout << "loadgen: " << (open_loop ? "open" : "closed") << " loop, "
-            << cfg.concurrency << " tenants";
-  if (open_loop) std::cout << ", target " << cfg.target_rps << " req/s";
-  if (cfg.duration_s > 0.0) std::cout << ", " << cfg.duration_s << " s";
-  if (cfg.max_requests > 0) std::cout << ", cap " << cfg.max_requests;
-  std::cout << '\n' << std::flush;
-
-  serve::LoadgenReport report;
-  if (const auto st = serve::run_loadgen(cfg, &report); !st.is_ok()) {
-    std::cerr << "loadgen: " << st.str() << '\n';
-    return st.code() == robust::StatusCode::kInvalidConfig ? 2 : 4;
-  }
-
-  const auto count = [](std::size_t n) {
-    return Table::num(static_cast<double>(n), 0);
-  };
-  Table t({"figure", "value"});
-  t.add_row({"sent", count(report.sent)});
-  t.add_row({"completed", count(report.completed)});
-  t.add_row({"ok", count(report.ok)});
-  t.add_row({"shed (overloaded/draining)", count(report.shed)});
-  t.add_row({"deadline exceeded", count(report.deadline_exceeded)});
-  t.add_row({"failed", count(report.failed)});
-  t.add_row({"transport errors", count(report.transport_errors)});
-  t.add_row({"hung (> call timeout)", count(report.hung)});
-  t.add_row({"mix tt/yield/hello", count(report.truthtable) + "/" +
-                                       count(report.yield) + "/" +
-                                       count(report.hello)});
-  t.add_row({"wall [s]", Table::num(report.wall_s, 3)});
-  t.add_row({"requests/s", Table::num(report.rps, 1)});
-  t.add_row({"latency mean [s]", Table::num(report.mean_s, 6)});
-  t.add_row({"latency p50 [s]", Table::num(report.p50_s, 6)});
-  t.add_row({"latency p95 [s]", Table::num(report.p95_s, 6)});
-  t.add_row({"latency p99 [s]", Table::num(report.p99_s, 6)});
-  t.add_row({"latency p99.9 [s]", Table::num(report.p999_s, 6)});
-  t.add_row({"latency max [s]", Table::num(report.max_s, 6)});
-  std::cout << t.str();
-
-  // The BENCH artifact, through the same harness as the bench binaries so
-  // env fingerprinting and `bench diff/gate` semantics match. The harness
-  // parses flags from argv; hand it a synthetic one.
-  std::string words[] = {"loadgen", "--quick", "--out-dir",
-                         args.value("out-dir").value_or("")};
-  std::vector<char*> hargv = {words[0].data()};
-  if (quick) hargv.push_back(words[1].data());
-  if (!words[3].empty()) {
-    hargv.insert(hargv.end(), {words[2].data(), words[3].data()});
-  }
-  int hargc = static_cast<int>(hargv.size());
-  hargv.push_back(nullptr);
-  swsim::bench::Harness harness("serve_throughput", &hargc, hargv.data());
-  harness.record_samples(
-      open_loop ? "open_loop_latency" : "closed_loop_latency", "s",
-      report.latencies_s);
-  harness.add_scalar(open_loop ? "open_loop_rps" : "closed_loop_rps",
-                     report.rps);
-  if (open_loop) harness.add_scalar("open_loop_target_rps", cfg.target_rps);
-  harness.add_scalar("p50_s", report.p50_s);
-  harness.add_scalar("p95_s", report.p95_s);
-  harness.add_scalar("p99_s", report.p99_s);
-  harness.add_scalar("p999_s", report.p999_s);
-  harness.add_scalar("max_s", report.max_s);
-  harness.add_scalar("shed_rate", report.shed_rate());
-  harness.add_scalar("hung", static_cast<double>(report.hung));
-  harness.add_scalar("transport_errors",
-                     static_cast<double>(report.transport_errors));
-  if (!harness.finish()) return 1;
-
-  if (report.hung > 0) {
-    std::cerr << "loadgen: FAIL — " << report.hung << " exchange"
-              << (report.hung == 1 ? "" : "s") << " hung past the "
-              << cfg.call_timeout_s << " s call timeout\n";
-    return 1;
   }
   return 0;
 }

@@ -91,8 +91,8 @@ EnvInfo current_env() {
 
 Harness::Harness(std::string name, int* argc, char** argv)
     : name_(std::move(name)) {
-  // Strip harness flags in place, compacting argv so the bench (and
-  // benchmark::Initialize in bench_solver_perf) sees only what is left.
+  // Strip harness flags in place, compacting argv so the bench sees only
+  // what is left.
   int out = 1;
   bool repeats_given = false;
   const auto value_of = [&](int& i, const char* flag) -> const char* {
@@ -157,10 +157,6 @@ void Harness::add_scalar(const std::string& name, double value) {
   scalars_.emplace_back(name, value);
 }
 
-void Harness::set_profile_json(std::string profile_json) {
-  profile_json_ = std::move(profile_json);
-}
-
 std::string Harness::to_json() const {
   const EnvInfo env = current_env();
   obs::JsonWriter w;
@@ -197,13 +193,7 @@ std::string Harness::to_json() const {
   for (const auto& [scalar_name, value] : scalars_) {
     w.field(scalar_name, finite_or_zero(value));
   }
-  w.end_object().key("profile");
-  if (profile_json_.empty()) {
-    w.null();
-  } else {
-    w.raw(profile_json_);
-  }
-  return w.end_object().take();
+  return w.end_object().end_object().take();
 }
 
 bool Harness::finish() const {
@@ -320,46 +310,6 @@ CompareResult compare_benches(const BenchDoc& base, const BenchDoc& cur,
     d.verdict = Verdict::kNew;
     result.deltas.push_back(std::move(d));
   }
-  // Throughput scalars ("*_per_second": higher is better) are gated with
-  // the plain relative tolerance — scalars carry no per-sample spread, so
-  // there is no MAD term. Other scalars (ratios, flags) stay informational.
-  const auto is_throughput = [](const std::string& name) {
-    static const std::string suffix = "_per_second";
-    return name.size() > suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-  };
-  for (const auto& [name, base_value] : base.scalars) {
-    if (!is_throughput(name)) continue;
-    CaseDelta d;
-    d.name = "scalar:" + name;
-    d.base_median = base_value;
-    const auto it = cur.scalars.find(name);
-    if (it == cur.scalars.end()) {
-      d.verdict = Verdict::kMissing;
-      result.deltas.push_back(std::move(d));
-      continue;
-    }
-    d.cur_median = it->second;
-    d.threshold = opts.rel_tolerance * base_value;
-    const double drop = base_value - it->second;  // positive = slower
-    if (drop > d.threshold) {
-      d.verdict = Verdict::kRegression;
-      ++result.regressions;
-    } else if (-drop > d.threshold) {
-      d.verdict = Verdict::kImprovement;
-      ++result.improvements;
-    }
-    result.deltas.push_back(std::move(d));
-  }
-  for (const auto& [name, value] : cur.scalars) {
-    if (!is_throughput(name) || base.scalars.count(name)) continue;
-    CaseDelta d;
-    d.name = "scalar:" + name;
-    d.cur_median = value;
-    d.verdict = Verdict::kNew;
-    result.deltas.push_back(std::move(d));
-  }
   std::sort(result.deltas.begin(), result.deltas.end(),
             [](const CaseDelta& a, const CaseDelta& b) {
               return a.name < b.name;
@@ -390,9 +340,7 @@ const std::vector<BenchTarget>& bench_registry() {
       {"ablation_robustness", "bench_ablation_robustness.csv", true},
       {"ablation_cascade", "bench_ablation_cascade.csv", false},
       {"ladder_vs_triangle", "bench_ladder_vs_triangle.csv", false},
-      {"solver_perf", "bench_engine_speedup.csv", true},
       {"serve_resilience", "BENCH_serve_resilience.json", false},
-      {"serve_throughput", "BENCH_serve_throughput.json", false},
       {"probe_overhead", "BENCH_probe_overhead.json", false},
   };
   return targets;

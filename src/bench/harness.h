@@ -15,8 +15,7 @@
 //   }
 //
 // The harness strips its own flags from argc/argv before the bench sees
-// them (so bench_solver_perf can still forward the rest to
-// benchmark::Initialize):
+// them:
 //
 //   --quick          fewer repeats + benches may skip their slow half
 //   --repeats N      timing samples per case          (default 5, quick 3)
@@ -25,7 +24,7 @@
 //
 // The JSON also records an environment fingerprint (git SHA, compiler,
 // flags, build type, core count) so `swsim bench diff` can warn when two
-// runs are not comparable, plus an optional embedded obs::RunProfile.
+// runs are not comparable.
 //
 // The second half of this header is the *reader*: parse_bench_json() and
 // compare_benches(), the noise-aware comparison shared by `swsim bench
@@ -110,9 +109,6 @@ class Harness {
   // Records a named scalar result (figure-of-merit, speedup, count...).
   void add_scalar(const std::string& name, double value);
 
-  // Embeds a pre-serialized obs::RunProfile document ("profile" key).
-  void set_profile_json(std::string profile_json);
-
   // Serializes the run (schema swsim.bench/1).
   std::string to_json() const;
 
@@ -122,6 +118,7 @@ class Harness {
 
   const std::string& name() const { return name_; }
 
+ private:
   struct Case {
     std::string unit;
     int warmup = 0;
@@ -130,13 +127,6 @@ class Harness {
     double items_per_second = 0.0;
   };
 
-  // Cases recorded so far, in insertion order — lets a bench derive
-  // scalars (speedups, ratios) from already-timed cases.
-  const std::vector<std::pair<std::string, Case>>& cases() const {
-    return cases_;
-  }
-
- private:
   std::string name_;
   bool quick_ = false;
   int repeats_ = 5;
@@ -144,7 +134,6 @@ class Harness {
   std::string out_dir_ = ".";
   std::vector<std::pair<std::string, Case>> cases_;  // insertion order
   std::vector<std::pair<std::string, double>> scalars_;
-  std::string profile_json_;
 };
 
 // Keeps a value alive past the optimizer so timed kernels are not deleted.

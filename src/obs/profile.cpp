@@ -49,10 +49,9 @@ std::uint64_t peak_rss_bytes() {
 #endif
 }
 
-RunProfile RunProfile::collect(double wall_seconds, std::uint64_t cells) {
+RunProfile RunProfile::collect(double wall_seconds) {
   RunProfile p;
   p.wall_seconds = finite_or_zero(wall_seconds);
-  p.cells = cells;
 
   // One snapshot pass: never calls counter()/gauge() by name, which would
   // register zero-valued metrics as a side effect of profiling.
@@ -91,10 +90,6 @@ RunProfile RunProfile::collect(double wall_seconds, std::uint64_t cells) {
   if (p.wall_seconds > 0.0) {
     p.steps_per_second = finite_or_zero(
         static_cast<double>(p.llg_steps) / p.wall_seconds);
-    if (p.cells > 0) {
-      p.cell_steps_per_second = finite_or_zero(
-          static_cast<double>(p.cells) * p.steps_per_second);
-    }
     if (p.pool_threads > 0) {
       p.pool_utilization = finite_or_zero(
           static_cast<double>(p.pool_busy_us) /
@@ -125,11 +120,9 @@ std::string RunProfile::to_json() const {
   w.begin_object()
       .field("schema", kSchema)
       .field("wall_seconds", finite_or_zero(wall_seconds))
-      .field("cells", cells)
       .field("llg_steps", llg_steps)
       .field("field_evals", field_evals)
       .field("steps_per_second", finite_or_zero(steps_per_second))
-      .field("cell_steps_per_second", finite_or_zero(cell_steps_per_second))
       .key("term_share")
       .begin_object();
   for (const auto& [term, share] : term_share) {
@@ -189,11 +182,9 @@ RunProfile RunProfile::from_json(const JsonValue& root) {
   }
   RunProfile p;
   p.wall_seconds = number_field(root, "wall_seconds");
-  p.cells = uint_field(root, "cells");
   p.llg_steps = uint_field(root, "llg_steps");
   p.field_evals = uint_field(root, "field_evals");
   p.steps_per_second = number_field(root, "steps_per_second");
-  p.cell_steps_per_second = number_field(root, "cell_steps_per_second");
   const JsonValue* terms = root.find("term_share");
   if (!terms || !terms->is_object()) {
     throw std::runtime_error("RunProfile: missing \"term_share\" object");

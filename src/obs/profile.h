@@ -3,11 +3,10 @@
 // and serialized to a versioned JSON schema ("swsim.profile/1").
 //
 // A RunProfile answers the questions the bench trajectory needs answered
-// per data point: throughput (LLG steps/s, and cells·steps/s when the cell
-// count is known), where field-assembly time went per term, whether the
-// result cache helped, and how busy the thread pool actually was. The bench
-// harness embeds one in every BENCH_<name>.json; the CLI writes one via
-// `--profile-out <file>` on the engine commands.
+// per data point: throughput (LLG steps/s), where field-assembly time went
+// per term, whether the result cache helped, and how busy the thread pool
+// actually was. The CLI writes one via `--profile-out <file>` on the
+// engine commands.
 //
 // Everything here runs at end-of-run (never on a hot path), so it is built
 // unconditionally — under SWSIM_OBS_OFF collect() simply reads the stub
@@ -29,13 +28,11 @@ struct RunProfile {
   static constexpr const char* kSchema = "swsim.profile/1";
 
   double wall_seconds = 0.0;    // caller-measured wall time of the solve
-  std::uint64_t cells = 0;      // grid cells (0 = unknown to the caller)
   std::uint64_t llg_steps = 0;  // mag.llg.steps
   std::uint64_t field_evals = 0;
 
   // Throughput; non-finite values (0-second walls, overflow) serialize as 0.
   double steps_per_second = 0.0;
-  double cell_steps_per_second = 0.0;  // cells * steps_per_second, 0 if unknown
 
   // Fraction of summed per-term field-assembly time, by term name (from the
   // mag.term.<name>.us counters); fractions sum to ~1 when any term ran.
@@ -75,9 +72,9 @@ struct RunProfile {
 
   // Builds a profile from the global MetricsRegistry (snapshot reads — no
   // metrics are created as a side effect) and the process peak RSS.
-  // `wall_seconds` and `cells` come from the caller; derived rates are
-  // guarded against division by zero and non-finite results.
-  static RunProfile collect(double wall_seconds, std::uint64_t cells = 0);
+  // `wall_seconds` comes from the caller; derived rates are guarded
+  // against division by zero and non-finite results.
+  static RunProfile collect(double wall_seconds);
 
   // Serializes to the versioned schema (compact JSON; NaN/inf are written
   // as 0, since from_json requires numbers). Parse the result with

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -132,11 +133,16 @@ robust::Status Server::apply_tunables_file() {
     const std::string value = trim(stripped.substr(eq + 1));
     char* end = nullptr;
     const double num = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return bad("'" + key + "' needs a numeric value, got '" + value + "'");
+    // strtod also reads "nan", "inf" and overflows such as "1e400" (inf);
+    // none of them is a setting.
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(num)) {
+      return bad("'" + key + "' needs a finite number, got '" + value + "'");
     }
     if (key == "queue_capacity") {
-      if (num < 1.0) return bad("queue_capacity must be >= 1");
+      // Whole and at most 2^53, so the size_t conversion is exact.
+      if (num < 1.0 || num > 9007199254740992.0 || num != std::floor(num)) {
+        return bad("queue_capacity must be an integer in [1, 2^53]");
+      }
       next.queue_capacity = static_cast<std::size_t>(num);
     } else if (key == "retry_after_s") {
       if (num < 0.0) return bad("retry_after_s must be >= 0");

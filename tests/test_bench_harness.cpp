@@ -217,7 +217,7 @@ TEST(BenchCompare, CustomOptionsChangeTheThreshold) {
 
 TEST(BenchRegistry, NamesAreUniqueAndNonEmpty) {
   const auto& reg = bench_registry();
-  EXPECT_EQ(reg.size(), 14u);
+  EXPECT_EQ(reg.size(), 12u);
   for (std::size_t i = 0; i < reg.size(); ++i) {
     EXPECT_NE(std::string(reg[i].name), "");
     for (std::size_t j = i + 1; j < reg.size(); ++j) {

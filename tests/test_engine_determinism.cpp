@@ -1,6 +1,6 @@
 // The engine's headline guarantee: for a fixed workload the results are
 // bit-identical for every job count, cold or warm cache, and identical to
-// the serial reference path.
+// the serial reference path — for the wave-network and the LLG backend.
 #include "engine/batch_runner.h"
 
 #include <gtest/gtest.h>
@@ -8,10 +8,12 @@
 #include <atomic>
 #include <memory>
 
+#include "core/micromag_gate.h"
 #include "core/triangle_gate.h"
 #include "core/validator.h"
 #include "core/variability.h"
 #include "engine/hash.h"
+#include "serve/workload.h"
 
 namespace swsim::engine {
 namespace {
@@ -78,6 +80,34 @@ TEST(EngineDeterminism, WarmCacheRunIsIdenticalAndAllHits) {
   EXPECT_EQ(core::format_report(warm), core::format_report(cold));
   EXPECT_EQ(after_warm.cache.hits, warm.rows.size());  // 100% warm hits
   EXPECT_EQ(after_warm.jobs_executed, after_cold.jobs_executed);
+}
+
+TEST(EngineDeterminism, MicromagSerialColdAndWarmAreByteIdentical) {
+  // The LLG backend through the spec `swsim micromag` uses: one serial
+  // gate (lazy calibration, rows in order), then the engine's shared
+  // calibration job fanning out to row jobs, then an all-hit rerun. Coarse
+  // 8 nm cells keep the solves short.
+  serve::MicromagParams params;
+  params.kind = "xor";
+  params.cell_nm = 8.0;
+  const auto spec = serve::make_micromag_spec(params);
+  ASSERT_TRUE(spec.has_value());
+  core::MicromagTriangleGate serial_gate(spec->config);
+  const std::string serial =
+      core::format_report(core::validate_gate(serial_gate));
+
+  EngineConfig cfg;
+  cfg.jobs = 2;
+  BatchRunner runner(cfg);
+  const auto cold =
+      runner.run_truth_table(spec->factory, spec->key, spec->prepare);
+  const auto after_cold = runner.stats();
+  const auto warm =
+      runner.run_truth_table(spec->factory, spec->key, spec->prepare);
+  EXPECT_EQ(core::format_report(cold), serial);
+  EXPECT_EQ(core::format_report(warm), serial);
+  EXPECT_EQ(runner.stats().cache.hits, warm.rows.size());
+  EXPECT_EQ(runner.stats().jobs_executed, after_cold.jobs_executed);
 }
 
 TEST(EngineDeterminism, NoCacheModeStillDeterministic) {

@@ -247,6 +247,47 @@ TEST(Llg, Rk4FourthOrderConvergence) {
   EXPECT_LT(e1 / e2, 26.0);
 }
 
+TEST(Llg, HeunAndRk4OrderAgainstAnalyticMacrospin) {
+  // A damped macrospin in a static field along z has a closed form. With
+  // w' = gamma mu0 H / (1 + alpha^2), tan(theta/2) = tan(theta0/2)
+  // exp(-alpha w' t), and the azimuth advances by +w' t in this solver's
+  // sign convention. Each dt halving must cut the end-state error ~4x for
+  // Heun (second order) and ~16x for RK4 (fourth order).
+  const double hz = 2e6;
+  Material mat = Material::fecob();
+  mat.alpha = 0.1;
+  const double theta0 = 0.6;
+  const double t_end = 20e-12;
+  const double w = kGamma * kMu0 * hz / (1.0 + mat.alpha * mat.alpha);
+  const double theta = 2.0 * std::atan(std::tan(theta0 / 2.0) *
+                                       std::exp(-mat.alpha * w * t_end));
+  const Vec3 exact{std::sin(theta) * std::cos(w * t_end),
+                   std::sin(theta) * std::sin(w * t_end), std::cos(theta)};
+  const auto error = [&](StepperKind kind, double dt) {
+    const System sys(one_cell(), mat);
+    auto terms = zeeman_only(hz);
+    VectorField m(sys.grid());
+    m[0] = Vec3{std::sin(theta0), 0.0, std::cos(theta0)};
+    Stepper stepper(kind, dt);
+    double t = 0.0;
+    for (long i = std::lround(t_end / dt); i > 0; --i) {
+      t += stepper.step(sys, terms, m, t);
+    }
+    return norm(m[0] - exact);
+  };
+  for (const double dt : {80e-15, 40e-15}) {  // w' dt ~ 0.035, 0.017
+    const double heun = error(StepperKind::kHeun, dt) /
+                        error(StepperKind::kHeun, dt / 2);
+    EXPECT_GT(heun, 3.8) << "dt " << dt;
+    EXPECT_LT(heun, 4.2) << "dt " << dt;
+    const double rk4 = error(StepperKind::kRk4, dt) /
+                       error(StepperKind::kRk4, dt / 2);
+    EXPECT_GT(rk4, 15.0) << "dt " << dt;
+    EXPECT_LT(rk4, 17.0) << "dt " << dt;
+  }
+  EXPECT_LT(error(StepperKind::kRk4, 20e-15), 1e-9);
+}
+
 TEST(Llg, Rkf45RespectsTolerance) {
   const System sys(one_cell(), undamped_material());
   auto terms = zeeman_only(5e5);

@@ -17,11 +17,9 @@ namespace {
 RunProfile sample_profile() {
   RunProfile p;
   p.wall_seconds = 2.5;
-  p.cells = 4096;
   p.llg_steps = 120000;
   p.field_evals = 480000;
   p.steps_per_second = 48000.0;
-  p.cell_steps_per_second = 4096.0 * 48000.0;
   p.term_share["exchange"] = 0.25;
   p.term_share["demag"] = 0.6;
   p.term_share["zeeman"] = 0.15;
@@ -43,11 +41,9 @@ TEST(ObsProfile, JsonRoundTripPreservesEveryField) {
   const RunProfile q = RunProfile::from_json(parse_json(p.to_json()));
 
   EXPECT_DOUBLE_EQ(q.wall_seconds, p.wall_seconds);
-  EXPECT_EQ(q.cells, p.cells);
   EXPECT_EQ(q.llg_steps, p.llg_steps);
   EXPECT_EQ(q.field_evals, p.field_evals);
   EXPECT_DOUBLE_EQ(q.steps_per_second, p.steps_per_second);
-  EXPECT_DOUBLE_EQ(q.cell_steps_per_second, p.cell_steps_per_second);
   ASSERT_EQ(q.term_share.size(), 3u);
   EXPECT_DOUBLE_EQ(q.term_share.at("exchange"), 0.25);
   EXPECT_DOUBLE_EQ(q.term_share.at("demag"), 0.6);
@@ -67,7 +63,6 @@ TEST(ObsProfile, JsonRoundTripPreservesEveryField) {
 TEST(ObsProfile, NonFiniteRatesSerializeAsZeroAndStayValidJson) {
   RunProfile p = sample_profile();
   p.steps_per_second = std::numeric_limits<double>::quiet_NaN();
-  p.cell_steps_per_second = std::numeric_limits<double>::infinity();
   p.pool_utilization = -std::numeric_limits<double>::infinity();
   p.term_share["demag"] = std::numeric_limits<double>::quiet_NaN();
 
@@ -78,7 +73,6 @@ TEST(ObsProfile, NonFiniteRatesSerializeAsZeroAndStayValidJson) {
   EXPECT_EQ(doc.find("inf"), std::string::npos);
   const RunProfile q = RunProfile::from_json(parse_json(doc));
   EXPECT_DOUBLE_EQ(q.steps_per_second, 0.0);
-  EXPECT_DOUBLE_EQ(q.cell_steps_per_second, 0.0);
   EXPECT_DOUBLE_EQ(q.pool_utilization, 0.0);
   EXPECT_DOUBLE_EQ(q.term_share.at("demag"), 0.0);
 }
@@ -112,13 +106,11 @@ TEST(ObsProfile, CollectReadsRegistryWithoutRegisteringMetrics) {
   reg.counter("pool.busy_us").add(4000000);
 
   const std::size_t counters_before = reg.counters_snapshot().size();
-  const RunProfile p = RunProfile::collect(/*wall_seconds=*/2.0,
-                                           /*cells=*/100);
+  const RunProfile p = RunProfile::collect(/*wall_seconds=*/2.0);
   MetricsRegistry::disarm();
 
   EXPECT_EQ(p.llg_steps, 1000u);
   EXPECT_DOUBLE_EQ(p.steps_per_second, 500.0);
-  EXPECT_DOUBLE_EQ(p.cell_steps_per_second, 50000.0);
   ASSERT_EQ(p.term_share.size(), 2u);
   EXPECT_DOUBLE_EQ(p.term_share.at("exchange"), 0.3);
   EXPECT_DOUBLE_EQ(p.term_share.at("demag"), 0.7);
@@ -140,7 +132,6 @@ TEST(ObsProfile, ZeroWallGuardsDerivedRates) {
   const RunProfile p = RunProfile::collect(/*wall_seconds=*/0.0);
   MetricsRegistry::disarm();
   EXPECT_DOUBLE_EQ(p.steps_per_second, 0.0);
-  EXPECT_DOUBLE_EQ(p.cell_steps_per_second, 0.0);
   EXPECT_DOUBLE_EQ(p.pool_utilization, 0.0);
 }
 

@@ -464,14 +464,25 @@ TEST(ServeServer, ReloadAppliesTunablesFileAndKeepsOldOnParseFailure) {
   EXPECT_DOUBLE_EQ(health.find("tunables")->find("retry_after_s")->number(),
                    1.5);
 
-  // A broken file must not take the daemon down or change anything.
-  {
-    std::ofstream out(tunables);
-    out << "queue_capacity = not-a-number\n";
+  // A broken file must not take the daemon down or change anything (its
+  // valid first line included) — also when strtod reads a number that no
+  // setting can hold.
+  for (const char* broken :
+       {"queue_capacity = not-a-number\n", "queue_capacity = nan\n",
+        "queue_capacity = 1e30\n", "retry_after_s = 1.5\nretry_after_s = nan\n",
+        "retry_after_s = inf\n"}) {
+    {
+      std::ofstream out(tunables);
+      out << "queue_capacity = 3\n" << broken;
+    }
+    server.reload();
+    health = healthz(client);
+    EXPECT_EQ(health.find("tunables")->find("queue_capacity")->number(), 9.0)
+        << broken;
+    const auto* retry = health.find("tunables")->find("retry_after_s");
+    ASSERT_TRUE(retry->is_number()) << broken;
+    EXPECT_DOUBLE_EQ(retry->number(), 1.5) << broken;
   }
-  server.reload();
-  health = healthz(client);
-  EXPECT_EQ(health.find("tunables")->find("queue_capacity")->number(), 9.0);
   server.shutdown();
 }
 
@@ -479,13 +490,26 @@ TEST(ServeServer, StartRefusesABrokenTunablesFile) {
   auto cfg = test_config("badtunables");
   const fs::path tunables =
       fs::path(::testing::TempDir()) / "swsim_serve_test" / "bad.conf";
-  {
-    std::ofstream out(tunables);
-    out << "bogus_knob = 1\n";
-  }
   cfg.tunables_file = tunables.string();
-  Server server(cfg);
-  EXPECT_EQ(server.start().code(), robust::StatusCode::kInvalidConfig);
+  // An unknown key, and values strtod accepts that are not settings: a
+  // NaN, an infinity, an overflow, a capacity past any size_t and a
+  // fractional one.
+  for (const char* broken :
+       {"bogus_knob = 1", "queue_capacity = nan", "queue_capacity = inf",
+        "queue_capacity = 1e30", "queue_capacity = 2.5",
+        "retry_after_s = nan", "retry_after_s = 1e400",
+        "idle_timeout_s = -inf", "max_deadline_s = nan"}) {
+    {
+      std::ofstream out(tunables);
+      out << "# operator edits\n" << broken << '\n';
+    }
+    Server server(cfg);
+    const robust::Status status = server.start();
+    EXPECT_EQ(status.code(), robust::StatusCode::kInvalidConfig) << broken;
+    // The refusal names the file and line.
+    EXPECT_NE(status.message().find("bad.conf:2:"), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(ServeServer, StartupRecoveryQuarantinesCorruptSpillEntries) {

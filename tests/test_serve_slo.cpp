@@ -1,6 +1,6 @@
 // Serve-plane telemetry: SloTracker determinism and schema, the flight
-// recorder ring, the timing block echoed on every response, the healthz
-// "slo" section of a live daemon, and an in-process loadgen smoke run.
+// recorder ring, the timing block echoed on every response, and the
+// healthz "slo" section of a live daemon.
 #include "serve/slo.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "obs/json.h"
 #include "serve/client.h"
 #include "serve/flight_recorder.h"
-#include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 
@@ -185,9 +184,9 @@ TEST(FlightRecorder, LongLinesAreTruncatedNotDropped) {
 }
 
 // ---------------------------------------------------------------------------
-// Live-daemon half: timing echo, healthz slo, request-log trace ids, the
-// SIGQUIT-path dump, and a loadgen smoke run — all against an in-process
-// server on a Unix socket.
+// Live-daemon half: timing echo, healthz slo, request-log trace ids and
+// the SIGQUIT-path dump, all against an in-process server on a Unix
+// socket.
 
 ServerConfig test_config(const std::string& name) {
   ServerConfig cfg;
@@ -295,32 +294,6 @@ TEST(ServeSlo, RequestLogCarriesTraceIdsAndTheFlightRecorderDump) {
   EXPECT_NE(log.find("\"trace_id\":\"trace-xyz\""), std::string::npos);
   EXPECT_NE(log.find("\"flight_recorder\":\"begin\""), std::string::npos);
   EXPECT_NE(log.find("\"flight_recorder\":\"end\""), std::string::npos);
-}
-
-TEST(ServeSlo, LoadgenSmokeCompletesWithoutHangs) {
-  ServerConfig cfg = test_config("loadgen");
-  Server server(cfg);
-  ASSERT_TRUE(server.start().is_ok());
-
-  LoadgenConfig lg;
-  lg.socket_path = cfg.socket_path;
-  lg.duration_s = 0.3;
-  lg.concurrency = 2;
-  lg.weight_truthtable = 0.2;
-  lg.weight_yield = 0.0;
-  lg.weight_hello = 0.8;
-  lg.call_timeout_s = 10.0;
-  lg.seed = 7;
-  LoadgenReport report;
-  ASSERT_TRUE(run_loadgen(lg, &report).is_ok());
-  EXPECT_GT(report.completed, 0u);
-  EXPECT_EQ(report.hung, 0u);
-  EXPECT_EQ(report.transport_errors, 0u);
-  EXPECT_EQ(report.ok, report.completed);
-  EXPECT_EQ(report.sent, report.truthtable + report.yield + report.hello);
-  // The daemon's SLO tracker saw every tenant the loadgen ran.
-  EXPECT_GE(server.slo().total_requests(), report.completed);
-  server.shutdown();
 }
 
 }  // namespace
