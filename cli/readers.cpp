@@ -1,6 +1,7 @@
 // Dump readers: the files other commands write (--metrics-out, --trace-out,
 // probe record) read back, checked, merged or summarized.
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -14,6 +15,7 @@
 #include "io/table.h"
 #include "math/spectrum.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace_merge.h"
 
 namespace swsim::cli {
@@ -33,59 +35,50 @@ std::optional<double> finite_number(const std::string& cell) {
   return v;
 }
 
-// One histogram of a metrics dump. Its [[le, n], ...] buckets split into
-// the finite upper bounds and the per-bucket counts (the overflow "inf"
-// bucket last); a sum that took a NaN or infinite sample is dumped as null
-// and reads as NaN.
-struct DumpHistogram {
-  double count = 0.0, sum = 0.0;
-  std::vector<double> bounds, counts;
-};
+// A count of a metrics dump as the integer it must be. JSON numbers are
+// doubles, exact up to 2^53; anything else (a string, a negative or
+// fractional number, a larger one) is a corrupt dump.
+std::optional<std::uint64_t> dump_count(const obs::JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  const double n = v.number();
+  if (!(n >= 0.0 && n <= 9007199254740992.0) || n != std::floor(n)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(n);
+}
 
-// Prints why and returns nullopt when the histogram is malformed.
-std::optional<DumpHistogram> read_histogram(const std::string& name,
-                                            const obs::JsonValue& h) {
+// One histogram of a metrics dump, read back into the registry's own
+// snapshot type: its [[le, n], ...] buckets split into the finite upper
+// bounds and the per-bucket counts (the overflow "inf" bucket last); a
+// sum that took a NaN or infinite sample is dumped as null and reads as
+// NaN. Prints why and returns nullopt when the histogram is malformed.
+std::optional<obs::HistogramSnapshot> read_histogram(const std::string& name,
+                                                     const obs::JsonValue& h) {
   const auto* count = h.find("count");
   const auto* sum = h.find("sum");
   const auto* buckets = h.find("buckets");
-  if (!count || !count->is_number() || !sum || !buckets ||
-      !buckets->is_array()) {
+  const auto total = count ? dump_count(*count) : std::nullopt;
+  if (!total || !sum || !buckets || !buckets->is_array()) {
     std::cerr << "stats: histogram '" << name << "' is malformed\n";
     return std::nullopt;
   }
-  DumpHistogram out{count->number(),
-                    sum->is_number() ? sum->number() : std::nan(""), {}, {}};
+  obs::HistogramSnapshot out;
+  out.count = *total;
+  out.sum = sum->is_number() ? sum->number() : std::nan("");
   for (const auto& pair : buckets->array()) {
-    if (!pair.is_array() || pair.array().size() != 2 ||
+    const auto n = pair.is_array() && pair.array().size() == 2
+                       ? dump_count(pair.array()[1])
+                       : std::nullopt;
+    if (!n ||
         (!pair.array()[0].is_number() && &pair != &buckets->array().back())) {
       std::cerr << "stats: histogram '" << name << "' has a bad bucket\n";
       return std::nullopt;
     }
     const auto& le = pair.array()[0];
     if (le.is_number()) out.bounds.push_back(le.number());
-    out.counts.push_back(pair.array()[1].number());
+    out.counts.push_back(*n);
   }
   return out;
-}
-
-// Quantile estimate from an exported histogram — the offline mirror of
-// obs::Histogram::Snapshot::quantile (the overflow bucket reports its
-// lower bound).
-double quantile(const DumpHistogram& h, double q) {
-  if (h.count <= 0.0) return 0.0;
-  const double target = q * h.count;
-  double seen = 0.0;
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    if (seen + h.counts[i] < target) {
-      seen += h.counts[i];
-      continue;
-    }
-    const double lo = i == 0 ? 0.0 : h.bounds[i - 1];
-    if (i >= h.bounds.size()) return lo;  // overflow bucket
-    if (h.counts[i] <= 0.0) return h.bounds[i];
-    return lo + (h.bounds[i] - lo) * ((target - seen) / h.counts[i]);
-  }
-  return h.bounds.empty() ? 0.0 : h.bounds.back();
 }
 
 // Parses a dump file with invalid-input semantics: an empty file or
@@ -154,15 +147,16 @@ int print_prometheus(const obs::JsonValue& counters,
     os << "# TYPE " << n << " histogram\n";
     double cumulative = 0.0;
     for (std::size_t i = 0; i < h->counts.size(); ++i) {
-      cumulative += h->counts[i];
+      cumulative += static_cast<double>(h->counts[i]);
       if (i < h->bounds.size()) {
         os << n << "_bucket{le=\"" << num(h->bounds[i]) << "\"} "
            << obs::format_number(cumulative) << "\n";
       }
     }
-    os << n << "_bucket{le=\"+Inf\"} " << num(h->count) << "\n"
+    const double count = static_cast<double>(h->count);
+    os << n << "_bucket{le=\"+Inf\"} " << num(count) << "\n"
        << n << "_sum " << num(h->sum) << "\n"
-       << n << "_count " << num(h->count) << "\n";
+       << n << "_count " << num(count) << "\n";
   }
   std::cout << os.str();
   return 0;
@@ -211,11 +205,10 @@ int cmd_stats(const Args& args) {
     for (const auto& [name, json] : histograms->object()) {
       const auto h = read_histogram(name, json);
       if (!h) return 2;
-      const double mean = h->count > 0.0 ? h->sum / h->count : 0.0;
-      ht.add_row({name, Table::num(h->count, 0), Table::num(mean, 6),
-                  Table::num(quantile(*h, 0.50), 6),
-                  Table::num(quantile(*h, 0.90), 6),
-                  Table::num(quantile(*h, 0.99), 6)});
+      ht.add_row({name, Table::num(static_cast<double>(h->count), 0),
+                  Table::num(h->mean(), 6), Table::num(h->quantile(0.50), 6),
+                  Table::num(h->quantile(0.90), 6),
+                  Table::num(h->quantile(0.99), 6)});
     }
     std::cout << '\n' << ht.str();
   }

@@ -10,8 +10,10 @@
 #   3. an Address+UBSan build of the robustness tests (fault injection,
 #      scheduler timeouts/retries, cache corruption) — the failure paths
 #      are exactly where lifetime bugs hide — of the JSON writer with the
-#      outputs built on it, of the CLI argument parser, and of the serve
-#      daemon (its tunables file and endpoint checks cast parsed numbers).
+#      outputs built on it, of the CLI argument parser, of the serve
+#      daemon (its tunables file and endpoint checks cast parsed numbers),
+#      and of the LLG kernels (slot-indexed buffers: a wrong neighbour
+#      offset reads past the end instead of into a vacuum cell).
 #   4. an observability smoke run: a traced + metered batch over the fault
 #      example, then `swsim trace-check` / `swsim stats` validate the
 #      dumps the run produced — the trace JSON and metrics JSON must parse
@@ -106,12 +108,15 @@ else
   # The JSON writer and its callers ride along: the writer escapes
   # client-supplied strings (tenant names, trace ids) into every output.
   # So do the parsers of outside input: the serve protocol, the CLI
-  # arguments and the daemon's tunables file.
+  # arguments and the daemon's tunables file. The LLG kernel suites run
+  # here for their slot arithmetic: the solver buffers hold magnetic cells
+  # only, so an off-by-one neighbour offset is an out-of-bounds read.
   ASAN_TESTS=(test_robust_status test_robust_watchdog test_robust_fault
               test_engine_resilience test_engine_pool test_engine_cache
               test_obs_json test_serve_protocol test_obs_metrics
               test_obs_trace test_obs_profile test_bench_harness
-              test_cli_args test_serve_server)
+              test_cli_args test_serve_server
+              test_mag_kernels test_mag_simulation)
 
   echo "== stage 3: ASan+UBSan robustness tests (${ASAN_DIR}) =="
   cmake -B "${ASAN_DIR}" -S . \

@@ -16,7 +16,7 @@ using swsim::math::kTwoPi;
 
 SolveContext::SolveContext(std::unique_ptr<KernelPlan> plan)
     : plan_(std::move(plan)) {
-  const std::size_t n = plan_->n;
+  const std::size_t n = plan_->slots();
   m_.assign_zero(n);
   tmp_.assign_zero(n);
   k1_.assign_zero(n);
@@ -95,7 +95,7 @@ void SolveContext::resolve_ops(double t) {
 
 void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
   resolve_ops(t);
-  const std::size_t slots = plan_->active.size();
+  const std::size_t slots = plan_->slots();
   const bool sampled = obs::metrics_armed() && !plan_->ops.empty() &&
                        (eval_count_ % kSamplePeriod == 0);
   ++eval_count_;
@@ -104,7 +104,7 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
     // Per-term sweeps into the field buffer, each op timed for the
     // "mag.term.<name>.us" attribution. Bit-exact with the fused sweep:
     // identical per-cell accumulation order, just staged through memory.
-    h_.assign_zero(plan_->n);
+    h_.assign_zero(slots);
     for (std::size_t o = 0; o < eval_ops_.size(); ++o) {
       const double t0 = obs::now_us();
       const EvalOp& op = eval_ops_[o];
@@ -127,7 +127,7 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
     return;
   }
 
-  // Fused path. The parallel domain is interior cells (run table order)
+  // Fused path. The parallel domain is interior slots (run table order)
   // followed by edge slots; chunk boundaries depend only on the plan, so
   // any thread count slices the same work the same way, and every cell is
   // written by exactly one chunk.
@@ -145,8 +145,8 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
         const std::size_t off = pos - pre[r];
         const std::size_t take =
             std::min(ie - pos, (run.e - run.b) - off);
-        fused_run(*plan_, state, eval_ops_, dmdt, run.b + off,
-                  run.b + off + take, run.antenna);
+        fused_run(*plan_, state, eval_ops_, dmdt, run, run.b + off,
+                  run.b + off + take);
         pos += take;
         ++r;
       }
@@ -160,19 +160,18 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
 
 void SolveContext::stage1(SoaVec& out, const SoaVec& base, double s,
                           const SoaVec& k) {
-  pfor(plan_->n, kFlatGrain, [&](std::size_t b, std::size_t e) {
+  pfor(plan_->slots(), kSlotGrain, [&](std::size_t b, std::size_t e) {
     axpy(out, base, s, k, b, e);
   });
 }
 
 double SolveContext::err_max(double h, const double (&c)[5],
                              const SoaVec* const (&k)[5]) {
-  const std::size_t n = plan_->n;
-  if (n == 0) return 0.0;
-  const std::size_t chunks = (n + kFlatGrain - 1) / kFlatGrain;
+  const std::size_t n = plan_->slots();
+  const std::size_t chunks = (n + kSlotGrain - 1) / kSlotGrain;
   std::vector<double> partial(chunks, 0.0);
-  pfor(n, kFlatGrain, [&](std::size_t b, std::size_t e) {
-    partial[b / kFlatGrain] = err_max_range(h, c, k, b, e);
+  pfor(n, kSlotGrain, [&](std::size_t b, std::size_t e) {
+    partial[b / kSlotGrain] = err_max_range(h, c, k, b, e);
   });
   // Chunk-order fold; max of non-NaN partials is schedule-independent.
   double worst = 0.0;

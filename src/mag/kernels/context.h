@@ -1,7 +1,8 @@
 // Per-stepper solve context: a compiled KernelPlan plus every SoA scratch
 // buffer a stepper needs (state, stage buffers k1..k6, one field buffer
-// for the sampled per-term path). Owning the buffers here is itself a win:
-// the reference steppers allocate and zero up to seven grid-sized
+// for the sampled per-term path), each indexed by slot and sized by the
+// active-cell count, not the grid. Owning the buffers here is itself a
+// win: the reference steppers allocate and zero up to seven grid-sized
 // VectorFields per step; the context allocates once per solve.
 //
 // The context is cached by Stepper and rebuilt when its plan goes stale
@@ -34,9 +35,14 @@ class SolveContext {
 
   const KernelPlan& plan() const { return *plan_; }
 
-  // AoS <-> SoA at the step boundary.
-  void load_m(const swsim::math::VectorField& m) { load(m_, m); }
-  void store_m(swsim::math::VectorField& m) const { store(m_, m); }
+  // AoS <-> SoA at the step boundary: gather the magnetic cells into
+  // slots, scatter them back. Vacuum cells of m are never written.
+  void load_m(const swsim::math::VectorField& m) {
+    gather(m_, m, *plan_->active);
+  }
+  void store_m(swsim::math::VectorField& m) const {
+    scatter(m_, *plan_->active, m);
+  }
 
   // One effective-field + rhs evaluation of `state` at time t into dmdt.
   // When metrics are armed, every kSamplePeriod-th evaluation runs the
@@ -44,28 +50,27 @@ class SolveContext {
   // sweep — both are bit-exact, so sampling never perturbs the physics.
   void eval(const SoaVec& state, double t, SoaVec& dmdt);
 
-  // out = base + k * s over the full grid (chunked when parallel).
+  // out = base + k * s over every slot (chunked when parallel).
   void stage1(SoaVec& out, const SoaVec& base, double s, const SoaVec& k);
 
-  // out = base + (c0*k0 + ...) * h over the full grid.
+  // out = base + (c0*k0 + ...) * h over every slot.
   template <int N>
   void combine(SoaVec& out, const SoaVec& base, double h, const double (&c)[N],
                const SoaVec* const (&k)[N]) {
-    pfor(plan_->n, kFlatGrain,
+    pfor(plan_->slots(), kSlotGrain,
          [&](std::size_t b, std::size_t e) { combine_range(out, base, h, c, k, b, e); });
   }
 
-  // RKF45 max-norm error of h * (c0*k0 + ... + c4*k4) over the full grid;
+  // RKF45 max-norm error of h * (c0*k0 + ... + c4*k4) over every slot;
   // per-chunk maxima are folded in chunk order.
   double err_max(double h, const double (&c)[5], const SoaVec* const (&k)[5]);
 
   // State and stage buffers, exposed to the stepper loops in llg.cpp.
   SoaVec m_, tmp_, k1_, k2_, k3_, k4_, k5_, k6_;
 
-  // Fixed chunk sizes — part of the determinism contract: boundaries
-  // depend on the grid, never on the job count.
-  static constexpr std::size_t kSlotGrain = 1024;  // active-cell chunks
-  static constexpr std::size_t kFlatGrain = 4096;  // full-grid chunks
+  // Fixed chunk size — part of the determinism contract: boundaries
+  // depend on the active-cell count, never on the job count.
+  static constexpr std::size_t kSlotGrain = 1024;
   static constexpr std::uint64_t kSamplePeriod = 16;  // per-term timing
 
  private:

@@ -154,17 +154,18 @@ inline void llg_lanes(V mx, V my, V mz, V hx, V hy, V hz, V alpha, V pref,
   oz = (cz + tz * alpha) * pref;
 }
 
-// One interior block of V::kWidth cells starting at flat index i:
-// accumulate every op in term order, then the rhs. Interior cells have
-// every existing-axis neighbour in bounds and active, so exchange reads
-// m at i ± axis_stride directly.
+// One interior block of V::kWidth cells starting at slot i: accumulate
+// every op in term order, then the rhs. Interior cells have every
+// existing-axis neighbour in bounds and active, so exchange reads m at
+// i + nbo[k], the run's slot offsets in -x,+x,-y,+y,-z,+z order.
 template <class V>
 inline void fused_block(const KernelPlan& p, const double* __restrict mx,
                         const double* __restrict my,
                         const double* __restrict mz, const EvalOp* ops,
-                        std::size_t nops, std::uint8_t run_antenna,
-                        double* __restrict ox, double* __restrict oy,
-                        double* __restrict oz, std::size_t i) {
+                        std::size_t nops, const std::ptrdiff_t* nbo,
+                        std::uint8_t run_antenna, double* __restrict ox,
+                        double* __restrict oy, double* __restrict oz,
+                        std::size_t i) {
   const V mix = V::load(mx + i);
   const V miy = V::load(my + i);
   const V miz = V::load(mz + i);
@@ -176,14 +177,13 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         V lx = V::zero(), ly = V::zero(), lz = V::zero();
         for (int a = 0; a < 3; ++a) {
           if (!p.axis_used[a]) continue;
-          const std::ptrdiff_t st = p.axis_stride[a];
           const V w = V::set1(p.inv_d2[a]);
-          lx = lx + (V::load(mx + i - st) - mix) * w;
-          ly = ly + (V::load(my + i - st) - miy) * w;
-          lz = lz + (V::load(mz + i - st) - miz) * w;
-          lx = lx + (V::load(mx + i + st) - mix) * w;
-          ly = ly + (V::load(my + i + st) - miy) * w;
-          lz = lz + (V::load(mz + i + st) - miz) * w;
+          for (int side = 0; side < 2; ++side) {
+            const std::size_t j = i + nbo[2 * a + side];
+            lx = lx + (V::load(mx + j) - mix) * w;
+            ly = ly + (V::load(my + j) - miy) * w;
+            lz = lz + (V::load(mz + j) - miz) * w;
+          }
         }
         const V pref = V::set1(op.pref);
         hx = hx + lx * pref;
@@ -231,8 +231,8 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
 }  // namespace
 
 void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t fb,
-               std::size_t fe, std::uint8_t run_antenna) {
+               const std::vector<EvalOp>& ops, SoaVec& dmdt,
+               const KernelPlan::Run& run, std::size_t sb, std::size_t se) {
   const double* mx = m.x.data();
   const double* my = m.y.data();
   const double* mz = m.z.data();
@@ -241,21 +241,22 @@ void fused_run(const KernelPlan& p, const SoaVec& m,
   double* oz = dmdt.z.data();
   const EvalOp* op0 = ops.data();
   const std::size_t nops = ops.size();
-  std::size_t i = fb;
-  for (; i + SimdLane::kWidth <= fe; i += SimdLane::kWidth) {
-    fused_block<SimdLane>(p, mx, my, mz, op0, nops, run_antenna, ox, oy, oz,
-                          i);
+  const std::ptrdiff_t nbo[6] = {-1, 1, run.off[0], run.off[1], run.off[2],
+                                 run.off[3]};
+  std::size_t i = sb;
+  for (; i + SimdLane::kWidth <= se; i += SimdLane::kWidth) {
+    fused_block<SimdLane>(p, mx, my, mz, op0, nops, nbo, run.antenna, ox, oy,
+                          oz, i);
   }
-  for (; i < fe; ++i) {
-    fused_block<ScalarLane>(p, mx, my, mz, op0, nops, run_antenna, ox, oy, oz,
-                            i);
+  for (; i < se; ++i) {
+    fused_block<ScalarLane>(p, mx, my, mz, op0, nops, nbo, run.antenna, ox,
+                            oy, oz, i);
   }
 }
 
 void fused_edge(const KernelPlan& p, const SoaVec& m,
                 const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
                 std::size_t ee) {
-  const std::uint32_t* act = p.active.data();
   const std::uint32_t* edge = p.edge_slots.data();
   const double* mx = m.x.data();
   const double* my = m.y.data();
@@ -264,8 +265,7 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
   const std::size_t nops = ops.size();
   for (std::size_t j = eb; j < ee; ++j) {
     const std::size_t s = edge[j];
-    const std::size_t i = act[s];
-    const double mix = mx[i], miy = my[i], miz = mz[i];
+    const double mix = mx[s], miy = my[s], miz = mz[s];
     double hx = 0.0, hy = 0.0, hz = 0.0;
     for (std::size_t o = 0; o < nops; ++o) {
       const EvalOp& op = op0[o];
@@ -294,7 +294,7 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
           break;
         }
         case OpKind::kThinFilmDemag:
-          hz -= p.ms[i] * miz;
+          hz -= p.ms[s] * miz;
           break;
         case OpKind::kUniformZeeman:
           hx += op.dx;
@@ -313,16 +313,15 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
     ScalarLane rx, ry, rz;
     llg_lanes(ScalarLane{mix}, ScalarLane{miy}, ScalarLane{miz},
               ScalarLane{hx}, ScalarLane{hy}, ScalarLane{hz},
-              ScalarLane{p.alpha[i]}, ScalarLane{p.llg_pref[i]}, rx, ry, rz);
-    dmdt.x[i] = rx.v;
-    dmdt.y[i] = ry.v;
-    dmdt.z[i] = rz.v;
+              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
+    dmdt.x[s] = rx.v;
+    dmdt.y[s] = ry.v;
+    dmdt.z[s] = rz.v;
   }
 }
 
 void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
                 SoaVec& h, std::size_t sb, std::size_t se) {
-  const std::uint32_t* act = p.active.data();
   const double* mx = m.x.data();
   const double* my = m.y.data();
   const double* mz = m.z.data();
@@ -332,8 +331,7 @@ void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
   switch (op.kind) {
     case OpKind::kExchange:
       for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        const double mix = mx[i], miy = my[i], miz = mz[i];
+        const double mix = mx[s], miy = my[s], miz = mz[s];
         const std::uint32_t* nbp = &p.nb[6 * s];
         double lx = 0.0, ly = 0.0, lz = 0.0;
         for (int k = 0; k < 6; ++k) {
@@ -343,43 +341,38 @@ void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
           ly += (my[j] - miy) * w;
           lz += (mz[j] - miz) * w;
         }
-        hx[i] += lx * op.pref;
-        hy[i] += ly * op.pref;
-        hz[i] += lz * op.pref;
+        hx[s] += lx * op.pref;
+        hy[s] += ly * op.pref;
+        hz[s] += lz * op.pref;
       }
       break;
     case OpKind::kAnisotropy:
       for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        const double d = mx[i] * op.ax + my[i] * op.ay + mz[i] * op.az;
+        const double d = mx[s] * op.ax + my[s] * op.ay + mz[s] * op.az;
         const double sc = op.pref * d;
-        hx[i] += op.ax * sc;
-        hy[i] += op.ay * sc;
-        hz[i] += op.az * sc;
+        hx[s] += op.ax * sc;
+        hy[s] += op.ay * sc;
+        hz[s] += op.az * sc;
       }
       break;
     case OpKind::kThinFilmDemag:
-      for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        hz[i] -= p.ms[i] * mz[i];
-      }
+      for (std::size_t s = sb; s < se; ++s) hz[s] -= p.ms[s] * mz[s];
       break;
     case OpKind::kUniformZeeman:
       for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        hx[i] += op.dx;
-        hy[i] += op.dy;
-        hz[i] += op.dz;
+        hx[s] += op.dx;
+        hy[s] += op.dy;
+        hz[s] += op.dz;
       }
       break;
     case OpKind::kAntenna:
-      // Region index list, not the slot range: the drive's whole point is
+      // Region slot list, not the slot range: the drive's whole point is
       // to touch only the cells the antenna powers.
       if (!op.skip) {
-        for (const std::uint32_t i : *op.cells) {
-          hx[i] += op.dx;
-          hy[i] += op.dy;
-          hz[i] += op.dz;
+        for (const std::uint32_t s : *op.cells) {
+          hx[s] += op.dx;
+          hy[s] += op.dy;
+          hz[s] += op.dz;
         }
       }
       break;
@@ -388,16 +381,14 @@ void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
 
 void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
                SoaVec& dmdt, std::size_t sb, std::size_t se) {
-  const std::uint32_t* act = p.active.data();
   for (std::size_t s = sb; s < se; ++s) {
-    const std::size_t i = act[s];
     ScalarLane rx, ry, rz;
-    llg_lanes(ScalarLane{m.x[i]}, ScalarLane{m.y[i]}, ScalarLane{m.z[i]},
-              ScalarLane{h.x[i]}, ScalarLane{h.y[i]}, ScalarLane{h.z[i]},
-              ScalarLane{p.alpha[i]}, ScalarLane{p.llg_pref[i]}, rx, ry, rz);
-    dmdt.x[i] = rx.v;
-    dmdt.y[i] = ry.v;
-    dmdt.z[i] = rz.v;
+    llg_lanes(ScalarLane{m.x[s]}, ScalarLane{m.y[s]}, ScalarLane{m.z[s]},
+              ScalarLane{h.x[s]}, ScalarLane{h.y[s]}, ScalarLane{h.z[s]},
+              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
+    dmdt.x[s] = rx.v;
+    dmdt.y[s] = ry.v;
+    dmdt.z[s] = rz.v;
   }
 }
 

@@ -8,11 +8,11 @@
 // the per-cell operation sequence exactly. See docs/PERFORMANCE.md for the
 // argument; tests/test_mag_kernels.cpp holds it to byte identity.
 //
-// All ranges are half-open. "slot" ranges index the plan's active-cell
-// list, "edge" ranges index plan.edge_slots, "flat" ranges index the full
-// grid. Callers parallelize by chunking these ranges with fixed grain —
-// the loops only ever write cells inside their own range, so any chunk
-// schedule produces identical bytes.
+// Every buffer is indexed by slot (the plan's active-cell order). All
+// ranges are half-open: "slot" ranges index the buffers directly, "edge"
+// ranges index plan.edge_slots. Callers parallelize by chunking these
+// ranges with fixed grain — the loops only ever write slots inside their
+// own range, so any chunk schedule produces identical bytes.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +34,15 @@ struct EvalOp {
   bool skip = false;              // antenna with env(t) == 0
   std::uint8_t bit = 0;           // antenna coverage bit in plan.antenna_bits
   const std::vector<std::uint32_t>* cells = nullptr;  // antenna region list
-  const std::vector<double>* gate = nullptr;          // antenna 1.0/0.0 mask
+  const std::vector<double>* gate = nullptr;          // antenna 1.0/0.0 per slot
 };
 
-// out = base + k * s, flat range [b, e). Matches "base[i] + s_expr * k[i]"
+// out = base + k * s, slot range [b, e). Matches "base[i] + s_expr * k[i]"
 // where the reference computed the double s first (s_expr collapses to s).
 void axpy(SoaVec& out, const SoaVec& base, double s, const SoaVec& k,
           std::size_t b, std::size_t e);
 
-// out = base + (c0*k0 + c1*k1 + ...) * h, flat range [b, e), inner sum
+// out = base + (c0*k0 + c1*k1 + ...) * h, slot range [b, e), inner sum
 // left-associated — the shape of every multi-k stage combination in the
 // reference steppers (a coefficient of exactly 1.0 reproduces a bare
 // "k[i]" operand: x * 1.0 == x bitwise).
@@ -71,23 +71,23 @@ void combine_range(SoaVec& out, const SoaVec& base, double h,
   }
 }
 
-// max over [b, e) of |h * (c0*k0 + c1*k1 + ... + c4*k4)| per cell — the
+// max over slots [b, e) of |h * (c0*k0 + c1*k1 + ... + c4*k4)| — the
 // RKF45 embedded-error reduction. NaN norms are skipped exactly as the
 // reference's std::max does, so the result is chunk-order independent.
 double err_max_range(double h, const double (&c)[5],
                      const SoaVec* const (&k)[5], std::size_t b,
                      std::size_t e);
 
-// Fused field + LLG-rhs sweep over one interior-run flat range [fb, fe):
+// Fused field + LLG-rhs sweep over slots [sb, se) of one interior run:
 // per cell, accumulate every op's field in term order into registers, then
-// apply the LLG right-hand side, writing dmdt at that cell only. Interior
-// cells address exchange neighbours at ±axis_stride directly and process
-// SIMD-width blocks of cells at once. `run_antenna` is the run's antenna
-// coverage bits; ops whose bit is clear are skipped for the whole range
-// (identical to the reference never touching those cells).
+// apply the LLG right-hand side, writing dmdt at that slot only. Interior
+// slots address exchange neighbours at ±1 (x) and the run's ±y/±z slot
+// offsets directly and process SIMD-width blocks of cells at once. Ops
+// whose bit is clear in the run's antenna coverage are skipped for the
+// whole range (identical to the reference never touching those cells).
 void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t fb,
-               std::size_t fe, std::uint8_t run_antenna);
+               const std::vector<EvalOp>& ops, SoaVec& dmdt,
+               const KernelPlan::Run& run, std::size_t sb, std::size_t se);
 
 // Scalar companion of fused_run for edge slots [eb, ee) (indices into
 // plan.edge_slots): same per-cell op order, exchange via the six-entry

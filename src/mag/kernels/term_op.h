@@ -46,12 +46,14 @@ struct TermOp {
   double phase = 0.0;      // [rad]
   const Envelope* envelope = nullptr;  // owned by the term, outlives the plan
 
-  // Antenna only: region ∧ system mask as ascending grid indices, so the
-  // drive touches exactly the cells it powers instead of scanning the grid.
+  // Antenna only: region ∧ system mask, ascending, so the drive touches
+  // exactly the cells it powers instead of scanning the grid.
+  // compile_kernel fills flat grid indices; build_plan rewrites them to
+  // slots.
   std::vector<std::uint32_t> cells;
 
   // Antenna only, filled by build_plan when the fused sweep is usable: a
-  // full-grid 1.0/0.0 coverage vector. The SIMD fused sweep turns the
+  // per-slot 1.0/0.0 coverage vector. The SIMD fused sweep turns the
   // per-cell region branch into a lane select against this array, which
   // keeps whole-vector blocks branchless while leaving undriven lanes'
   // field bits untouched.

@@ -78,9 +78,8 @@ void llg_rhs(const System& sys, const VectorField& m, const VectorField& h,
 }
 
 void renormalize(const System& sys, VectorField& m) {
-  const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (mask[i]) m[i] = swsim::math::normalized(m[i]);
+  for (const std::uint32_t i : sys.active_cells()) {
+    m[i] = swsim::math::normalized(m[i]);
   }
 }
 
@@ -151,8 +150,9 @@ double Stepper::step(const System& sys,
 
   double taken = 0.0;
   if (kernels::SolveContext* ctx = kernel_context(sys, terms)) {
-    // Fused SoA path: AoS<->SoA conversion happens only here, at the step
-    // boundary; the stage math runs on the context's contiguous buffers.
+    // Fused SoA path: the magnetic cells are gathered into slot order only
+    // here, at the step boundary; the stage math runs on the context's
+    // slot-indexed buffers, and vacuum cells of m are never written.
     ctx->load_m(m);
     switch (kind_) {
       case StepperKind::kHeun:
@@ -184,13 +184,7 @@ double Stepper::step(const System& sys,
   // (testing the watchdog + recovery path end-to-end). No-op — one relaxed
   // atomic load — when nothing is armed.
   if (robust::FaultPlan::global().consume_nan(stats_.steps_taken)) {
-    const auto& mask = sys.mask();
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      if (mask[i]) {
-        m[i].x = std::numeric_limits<double>::quiet_NaN();
-        break;
-      }
-    }
+    m[sys.active_cells().front()].x = std::numeric_limits<double>::quiet_NaN();
   }
 
   // Health scan on the raw integrator output: renormalization would mask

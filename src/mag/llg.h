@@ -15,7 +15,8 @@
 //           control on the max-norm of dm.
 //
 // After every accepted step the magnetization is renormalized cell-wise
-// (masked cells stay zero), which keeps |m| = 1 against integration drift.
+// over the System's active-cell list (vacuum cells stay zero), which keeps
+// |m| = 1 against integration drift.
 #pragma once
 
 #include <memory>
@@ -42,7 +43,7 @@ void effective_field(const System& sys,
 void llg_rhs(const System& sys, const VectorField& m, const VectorField& h,
              VectorField& dmdt);
 
-// Renormalizes every masked cell of m to unit length.
+// Renormalizes every magnetic cell of m to unit length.
 void renormalize(const System& sys, VectorField& m);
 
 enum class StepperKind { kHeun, kRk4, kRkf45 };
@@ -68,6 +69,14 @@ class Stepper {
   // Advances m from time t by one step; returns the step size actually taken
   // (RKF45 may shrink it). Notifies the terms via advance_step() so
   // stochastic terms redraw their noise.
+  //
+  // Vacuum cells of m must hold +0.0 in every component (the System
+  // invariant; Simulation::set_magnetization canonicalizes them). The
+  // kernel path never writes vacuum cells, and the reference path adds an
+  // exact +0.0 to them, which leaves +0.0 unchanged: both paths then
+  // return the same bytes for the whole field. A -0.0 vacuum component
+  // would come back +0.0 from the reference path and -0.0 from the
+  // kernel path.
   //
   // At the watchdog cadence the raw (pre-renormalization) state is scanned
   // for NaN/Inf and |m| norm drift; a violation throws robust::SolveError

@@ -7,14 +7,14 @@ namespace swsim::mag {
 RegionProbe::RegionProbe(std::string name, const swsim::math::Mask& region,
                          double sample_dt, std::size_t max_samples)
     : name_(std::move(name)),
-      region_(region),
+      cells_(region),
       sample_dt_(sample_dt),
       base_sample_dt_(sample_dt),
       max_samples_(max_samples) {
   if (!(sample_dt > 0.0)) {
     throw std::invalid_argument("RegionProbe: sample_dt must be > 0");
   }
-  if (region_.count() == 0) {
+  if (region.count() == 0) {
     throw std::invalid_argument("RegionProbe '" + name_ + "': empty region");
   }
   if (max_samples_ != 0 && (max_samples_ < 8 || max_samples_ % 2 != 0)) {
@@ -49,24 +49,18 @@ void RegionProbe::decimate() {
 bool RegionProbe::maybe_record(const System& sys, const VectorField& m,
                                double t) {
   if (t + 1e-18 < next_sample_) return false;
-  if (!(region_.grid() == sys.grid())) {
+  if (!(cells_.region().grid() == sys.grid())) {
     throw std::invalid_argument("RegionProbe '" + name_ +
                                 "': grid mismatch with system");
   }
-  Vec3 acc{};
-  std::size_t n = 0;
-  const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (region_[i] && mask[i]) {
-      acc += m[i];
-      ++n;
-    }
-  }
-  if (n == 0) {
+  const std::vector<std::uint32_t>& cells = cells_.of(sys);
+  if (cells.empty()) {
     throw std::runtime_error("RegionProbe '" + name_ +
                              "': region contains no magnetic cells");
   }
-  acc /= static_cast<double>(n);
+  Vec3 acc{};
+  for (const std::uint32_t i : cells) acc += m[i];
+  acc /= static_cast<double>(cells.size());
   if (max_samples_ != 0 && t_.size() == max_samples_) decimate();
   t_.push_back(t);
   mx_.push_back(acc.x);

@@ -50,7 +50,8 @@ class RegionProbe {
 
   // Called by the simulation after each step; records when a sample is
   // due. Returns true when the recorded sample completed a demodulator
-  // window (always false while no demodulator is armed).
+  // window (always false while no demodulator is armed). The region's
+  // magnetic cells are found once per System, from its active-cell list.
   bool maybe_record(const System& sys, const VectorField& m, double t);
 
   const std::vector<double>& times() const { return t_; }
@@ -83,7 +84,7 @@ class RegionProbe {
   void decimate();
 
   std::string name_;
-  swsim::math::Mask region_;
+  RegionCells cells_;  // the region and its magnetic cells per System
   double sample_dt_;
   double base_sample_dt_;
   std::size_t max_samples_;

@@ -22,7 +22,12 @@ void Simulation::set_magnetization(const VectorField& m) {
   if (!(m.grid() == system_.grid())) {
     throw std::invalid_argument("Simulation: magnetization grid mismatch");
   }
-  m_ = m;
+  // Vacuum is exactly +0.0 (system.h): whatever m holds there, including
+  // -0.0, is dropped, so every stepper path sees the same bytes. Built
+  // aside first, since m may be this simulation's own magnetization.
+  VectorField canonical(system_.grid());
+  for (const std::uint32_t i : system_.active_cells()) canonical[i] = m[i];
+  m_ = std::move(canonical);
   renormalize(system_, m_);
 }
 

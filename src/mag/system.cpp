@@ -1,6 +1,8 @@
 #include "mag/system.h"
 
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace swsim::mag {
 
@@ -17,13 +19,19 @@ System::System(const Grid& grid, const Material& material, const Mask& mask)
   if (!(mask.grid() == grid)) {
     throw std::invalid_argument("System: mask grid differs from system grid");
   }
-  magnetic_cells_ = mask_.count();
-  if (magnetic_cells_ == 0) {
-    throw std::invalid_argument("System: mask selects no magnetic cells");
+  if (grid.cell_count() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("System: grid exceeds 2^32 cells");
   }
+  auto active = std::make_shared<std::vector<std::uint32_t>>();
+  active->reserve(mask_.count());
   for (std::size_t i = 0; i < ms_scale_.size(); ++i) {
     ms_scale_[i] = mask_[i] ? 1.0 : 0.0;
+    if (mask_[i]) active->push_back(static_cast<std::uint32_t>(i));
   }
+  if (active->empty()) {
+    throw std::invalid_argument("System: mask selects no magnetic cells");
+  }
+  active_ = std::move(active);
 }
 
 void System::set_ms_scale(const ScalarField& scale) {
@@ -65,6 +73,21 @@ VectorField System::uniform_magnetization(const Vec3& direction) const {
     m[i] = mask_[i] ? u : Vec3{};
   }
   return m;
+}
+
+RegionCells::RegionCells(Mask region) : region_(std::move(region)) {}
+
+const std::vector<std::uint32_t>& RegionCells::of(const System& sys) {
+  for (const Entry& e : cache_) {
+    if (e.active.get() == &sys.active_cells()) return e.cells;
+  }
+  std::vector<std::uint32_t> cells;
+  for (const std::uint32_t i : sys.active_cells()) {
+    if (region_[i]) cells.push_back(i);
+  }
+  if (cache_.size() >= 2) cache_.erase(cache_.begin());
+  cache_.push_back({sys.active_cells_handle(), std::move(cells)});
+  return cache_.back().cells;
 }
 
 }  // namespace swsim::mag

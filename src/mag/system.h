@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "mag/material.h"
 #include "math/field.h"
@@ -53,7 +55,20 @@ class System {
   // its precomputed solve plans.
   std::uint64_t revision() const { return revision_; }
 
-  std::size_t magnetic_cell_count() const { return magnetic_cells_; }
+  std::size_t magnetic_cell_count() const { return active_->size(); }
+
+  // The magnetic cells as ascending flat indices, built once at
+  // construction: the solver's slot order, and the one list every per-step
+  // walk over magnetic cells (renormalize, probes, the kernel plan) reads.
+  const std::vector<std::uint32_t>& active_cells() const { return *active_; }
+  // The same list as a shared handle. Copies of a System share it, and a
+  // holder keeps its address from being reused, so a cache may key on
+  // &active_cells() without being fooled by a System recreated at the same
+  // address.
+  const std::shared_ptr<const std::vector<std::uint32_t>>& active_cells_handle()
+      const {
+    return active_;
+  }
 
   // Uniform initial magnetization along `direction` inside the mask.
   VectorField uniform_magnetization(const Vec3& direction) const;
@@ -64,8 +79,29 @@ class System {
   Mask mask_;
   ScalarField ms_scale_;
   ScalarField alpha_;
-  std::size_t magnetic_cells_ = 0;
+  std::shared_ptr<const std::vector<std::uint32_t>> active_;
   std::uint64_t revision_ = 0;
+};
+
+// The magnetic cells of a region (region ∧ mask) as ascending flat
+// indices, read off a System's active-cell list and cached per list
+// handle, so a lookup costs the active count once per System and nothing
+// after. The last two Systems are kept: a relaxation copy and the run
+// System alternate. Callers check that the region is on the System's grid.
+class RegionCells {
+ public:
+  explicit RegionCells(Mask region);
+
+  const Mask& region() const { return region_; }
+  const std::vector<std::uint32_t>& of(const System& sys);
+
+ private:
+  struct Entry {
+    std::shared_ptr<const std::vector<std::uint32_t>> active;
+    std::vector<std::uint32_t> cells;
+  };
+  Mask region_;
+  std::vector<Entry> cache_;
 };
 
 }  // namespace swsim::mag

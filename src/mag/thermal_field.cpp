@@ -25,25 +25,23 @@ double ThermalField::sigma(const System& sys, double dt) const {
 }
 
 void ThermalField::ensure_noise(const System& sys) {
-  if (noise_ready_ && noise_.grid() == sys.grid()) return;
-  noise_ = VectorField(sys.grid());
-  const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < noise_.size(); ++i) {
-    if (!mask[i]) continue;
+  const bool same_grid = noise_.grid() == sys.grid();
+  if (noise_ready_ && same_grid) return;
+  // The buffer is reused across steps; a redraw overwrites every magnetic
+  // cell, in ascending order, and accumulate() reads no other cell.
+  if (!same_grid) noise_ = VectorField(sys.grid());
+  for (const std::uint32_t i : sys.active_cells()) {
     noise_[i] = {rng_.normal(), rng_.normal(), rng_.normal()};
   }
   noise_ready_ = true;
 }
 
-void ThermalField::accumulate(const System& sys, const VectorField& m,
+void ThermalField::accumulate(const System& sys, const VectorField& /*m*/,
                               double /*t*/, VectorField& h) {
   if (temperature_ == 0.0 || dt_ == 0.0) return;
   ensure_noise(sys);
   const double s = sigma(sys, dt_);
-  const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (mask[i]) h[i] += s * noise_[i];
-  }
+  for (const std::uint32_t i : sys.active_cells()) h[i] += s * noise_[i];
 }
 
 void ThermalField::advance_step(double dt) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -70,7 +69,7 @@ Envelope Envelope::pulse(double t_on, double t_off, double ramp) {
 AntennaField::AntennaField(swsim::math::Mask region, double amplitude,
                            const Vec3& direction, double frequency,
                            double phase, Envelope envelope)
-    : region_(std::move(region)),
+    : cells_(std::move(region)),
       amplitude_(amplitude),
       direction_(swsim::math::normalized(direction)),
       frequency_(frequency),
@@ -87,46 +86,24 @@ AntennaField::AntennaField(swsim::math::Mask region, double amplitude,
   }
 }
 
-const std::vector<std::uint32_t>& AntennaField::driven_cells(
-    const System& sys) const {
-  const auto& mask = sys.mask();
-  for (auto& entry : cell_cache_) {
-    if (entry.first == mask) return entry.second;
-  }
-  std::vector<std::uint32_t> cells;
-  for (std::size_t i = 0; i < region_.size(); ++i) {
-    if (region_[i] && mask[i]) cells.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (cell_cache_.size() >= 2) cell_cache_.erase(cell_cache_.begin());
-  cell_cache_.emplace_back(mask, std::move(cells));
-  return cell_cache_.back().second;
-}
-
-void AntennaField::accumulate(const System& sys, const VectorField& m,
+void AntennaField::accumulate(const System& sys, const VectorField& /*m*/,
                               double t, VectorField& h) {
-  if (!(region_.grid() == sys.grid())) {
+  if (!(cells_.region().grid() == sys.grid())) {
     throw std::invalid_argument("AntennaField: region grid mismatch");
   }
   const double env = envelope_(t);
   if (env == 0.0) return;
   const Vec3 drive =
       direction_ * (amplitude_ * env * std::sin(kTwoPi * frequency_ * t + phase_));
-  if (m.size() <= std::numeric_limits<std::uint32_t>::max()) {
-    // Fast path: region ∧ mask precomputed as an ascending index list —
-    // per step the antenna costs its footprint, not a grid scan. Identical
-    // writes in identical order to the full sweep below.
-    for (const std::uint32_t i : driven_cells(sys)) h[i] += drive;
-    return;
-  }
-  const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (region_[i] && mask[i]) h[i] += drive;
-  }
+  // Per step the antenna costs its footprint, not a grid scan.
+  for (const std::uint32_t i : cells_.of(sys)) h[i] += drive;
 }
 
 bool AntennaField::compile_kernel(const System& sys,
                                   kernels::TermOp& op) const {
-  if (!(region_.grid() == sys.grid())) return false;  // reference path throws
+  if (!(cells_.region().grid() == sys.grid())) {
+    return false;  // reference path throws
+  }
   op.kind = kernels::OpKind::kAntenna;
   op.ax = direction_.x;
   op.ay = direction_.y;
@@ -135,7 +112,7 @@ bool AntennaField::compile_kernel(const System& sys,
   op.frequency = frequency_;
   op.phase = phase_;
   op.envelope = &envelope_;
-  op.cells = driven_cells(sys);
+  op.cells = cells_.of(sys);
   return true;
 }
 

@@ -7,10 +7,8 @@
 // as in the paper (Sec. III-A step (i)).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "mag/field_term.h"
 
@@ -66,20 +64,13 @@ class AntennaField final : public FieldTerm {
   double frequency() const { return frequency_; }
 
  private:
-  // Driven cells (region ∧ system mask) as ascending grid indices. Cached
-  // per mask content (two entries: relax and run Systems alternate), so the
-  // per-step cost is proportional to the antenna footprint, not the grid.
-  const std::vector<std::uint32_t>& driven_cells(const System& sys) const;
-
-  swsim::math::Mask region_;
+  // The region and its driven cells (region ∧ mask) per System.
+  mutable RegionCells cells_;
   double amplitude_;
   Vec3 direction_;
   double frequency_;
   double phase_;
   Envelope envelope_;
-  mutable std::vector<
-      std::pair<swsim::math::Mask, std::vector<std::uint32_t>>>
-      cell_cache_;
 };
 
 }  // namespace swsim::mag

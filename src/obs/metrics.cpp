@@ -1,8 +1,37 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/metrics.h"
 
 #include <algorithm>
+
+namespace swsim::obs {
+
+double HistogramSnapshot::quantile(double q) const {
+  if (count == 0) return 0.0;
+  q = std::min(1.0, std::max(0.0, q));
+  const double rank = q * static_cast<double>(count);
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::uint64_t n = counts[i];
+    if (n == 0) continue;
+    if (static_cast<double>(cumulative + n) >= rank) {
+      if (i >= bounds.size()) {
+        // Overflow bucket: no upper bound to interpolate toward.
+        return bounds.empty() ? 0.0 : bounds.back();
+      }
+      const double lo = i == 0 ? 0.0 : bounds[i - 1];
+      const double hi = bounds[i];
+      const double within =
+          (rank - static_cast<double>(cumulative)) / static_cast<double>(n);
+      return lo + (hi - lo) * std::min(1.0, std::max(0.0, within));
+    }
+    cumulative += n;
+  }
+  return bounds.empty() ? 0.0 : bounds.back();
+}
+
+}  // namespace swsim::obs
+
+#ifndef SWSIM_OBS_OFF
+
 #include <stdexcept>
 
 #include "obs/clock.h"
@@ -60,30 +89,6 @@ void Histogram::reset() {
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-}
-
-double Histogram::Snapshot::quantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::min(1.0, std::max(0.0, q));
-  const double rank = q * static_cast<double>(count);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const std::uint64_t n = counts[i];
-    if (n == 0) continue;
-    if (static_cast<double>(cumulative + n) >= rank) {
-      if (i >= bounds.size()) {
-        // Overflow bucket: no upper bound to interpolate toward.
-        return bounds.empty() ? 0.0 : bounds.back();
-      }
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      const double hi = bounds[i];
-      const double within =
-          (rank - static_cast<double>(cumulative)) / static_cast<double>(n);
-      return lo + (hi - lo) * std::min(1.0, std::max(0.0, within));
-    }
-    cumulative += n;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
 }
 
 MetricsRegistry& MetricsRegistry::global() {

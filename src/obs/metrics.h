@@ -14,13 +14,33 @@
 // a table). Histograms export count, sum, and per-bucket cumulative-free
 // counts, so consumers can compute rates and quantile estimates offline.
 //
-// Compile-out: SWSIM_OBS_OFF collapses everything to inert stubs.
+// Compile-out: SWSIM_OBS_OFF collapses everything but HistogramSnapshot
+// to inert stubs.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
+
+namespace swsim::obs {
+
+// A histogram's counts at one instant (Histogram::Snapshot), or one read
+// back from a dump (`swsim stats`). Shared by both builds, so a dump reads
+// the same with observability compiled out.
+struct HistogramSnapshot {
+  std::vector<double> bounds;        // finite upper bounds
+  std::vector<std::uint64_t> counts; // bounds.size() + 1 (overflow last)
+  std::uint64_t count = 0;
+  double sum = 0.0;
+
+  double mean() const { return count == 0 ? 0.0 : sum / count; }
+  // Quantile estimate (q in [0,1]) by linear interpolation inside the
+  // containing bucket; the overflow bucket reports its lower bound.
+  double quantile(double q) const;
+};
+
+}  // namespace swsim::obs
 
 #ifndef SWSIM_OBS_OFF
 
@@ -82,17 +102,7 @@ class Histogram {
 
   void observe(double v);
 
-  struct Snapshot {
-    std::vector<double> bounds;        // finite upper bounds
-    std::vector<std::uint64_t> counts; // bounds.size() + 1 (overflow last)
-    std::uint64_t count = 0;
-    double sum = 0.0;
-
-    double mean() const { return count == 0 ? 0.0 : sum / count; }
-    // Quantile estimate (q in [0,1]) by linear interpolation inside the
-    // containing bucket; the overflow bucket reports its lower bound.
-    double quantile(double q) const;
-  };
+  using Snapshot = HistogramSnapshot;
   Snapshot snapshot() const;
   void reset();
 
@@ -212,14 +222,7 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> = {}) {}
   void observe(double) {}
-  struct Snapshot {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean() const { return 0.0; }
-    double quantile(double) const { return 0.0; }
-  };
+  using Snapshot = HistogramSnapshot;
   Snapshot snapshot() const { return {}; }
   void reset() {}
   static std::vector<double> latency_seconds_bounds() { return {}; }

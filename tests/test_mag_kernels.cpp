@@ -3,9 +3,12 @@
 // The kernel layer (src/mag/kernels/) promises byte-identical output to
 // the scalar reference steppers for every stepper kind, every term set it
 // lowers, and ANY intra-solve job count. These tests hold it to that with
-// memcmp over the raw Vec3 bytes — no tolerances anywhere — on a masked
-// (triangle-like) geometry that exercises interior SIMD runs, scalar edge
-// cells, absent-neighbour self-indices, and the antenna gate at once.
+// memcmp over the raw Vec3 bytes — no tolerances anywhere — on masked
+// geometries that exercise interior SIMD runs, scalar edge cells,
+// absent-neighbour self-indices, and the antenna gate at once: a
+// triangle, a box with interior holes (rows split mid-way, so runs of one
+// row sit at different ±y slot offsets), and two- and three-layer grids
+// (the ±z neighbours, in the edge table and in the run offsets).
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -24,6 +27,7 @@
 #include "mag/kernels/runtime.h"
 #include "mag/llg.h"
 #include "mag/material.h"
+#include "mag/simulation.h"
 #include "mag/system.h"
 #include "mag/thermal_field.h"
 #include "mag/zeeman_field.h"
@@ -64,22 +68,83 @@ Mask triangle_mask(const Grid& g) {
   return mask;
 }
 
-// Antenna footprint: a column band, deliberately wider than the mask so
-// region ∧ mask matters.
+// Antenna footprint: a column band through every layer, deliberately
+// wider than the mask so region ∧ mask matters.
 Mask antenna_region(const Grid& g) {
   Mask region(g, false);
-  for (std::size_t y = 0; y < g.ny(); ++y) {
-    for (std::size_t x = 4; x < 8 && x < g.nx(); ++x) {
-      region.set(g.index(x, y, 0), true);
+  for (std::size_t z = 0; z < g.nz(); ++z) {
+    for (std::size_t y = 0; y < g.ny(); ++y) {
+      for (std::size_t x = 4; x < 8 && x < g.nx(); ++x) {
+        region.set(g.index(x, y, z), true);
+      }
     }
   }
   return region;
 }
 
-// Every kernel-lowerable term at once.
-std::vector<std::unique_ptr<FieldTerm>> make_terms(const Grid& g) {
+// A geometry under test. The holes and layered layouts hold more than
+// SolveContext::kSlotGrain (1024) active cells, so cell_jobs > 1 really
+// splits their sweeps into several chunks.
+struct Layout {
+  const char* name;
+  Grid grid;
+  Mask mask;
+};
+
+Layout triangle_layout() {
+  const Grid g = make_grid();
+  return {"triangle", g, triangle_mask(g)};
+}
+
+// A box with ragged corners and interior vacuum holes. A 2x1 hole splits
+// its row in two runs whose -y/+y neighbour rows are unbroken there, so
+// the two runs get different ±y slot offsets; a 3x3 hole and a one-cell
+// hole cut the rows around them.
+Layout holes_layout() {
+  const Grid g(44, 28, 1, 4e-9, 4e-9, 10e-9);
+  Mask mask(g, false);
+  const std::size_t nx = g.nx(), ny = g.ny();
+  for (std::size_t y = 0; y < ny; ++y) {
+    for (std::size_t x = 0; x < nx; ++x) {
+      const bool corner = x + y < 3 || (nx - 1 - x) + (ny - 1 - y) < 2;
+      const bool hole = (y == 9 && (x == 20 || x == 21)) ||
+                        (x >= 30 && x <= 32 && y >= 16 && y <= 18) ||
+                        (x == 9 && y == 21);
+      if (!corner && !hole) mask.set(g.index(x, y, 0), true);
+    }
+  }
+  return {"holes", g, mask};
+}
+
+// A layered box: layer z keeps x in [z, nx - z) minus a one-cell hole
+// per layer at a different column, so ±z neighbours are absent along the
+// layer edges and around each hole.
+Layout layered_layout(std::size_t nz) {
+  const Grid g(30, 18, nz, 4e-9, 4e-9, 5e-9);
+  Mask mask(g, false);
+  for (std::size_t z = 0; z < nz; ++z) {
+    for (std::size_t y = 0; y < g.ny(); ++y) {
+      for (std::size_t x = z; x + z < g.nx(); ++x) {
+        if (y == 8 && x == 10 + 4 * z) continue;
+        mask.set(g.index(x, y, z), true);
+      }
+    }
+  }
+  return {nz == 2 ? "two_layers" : "three_layers", g, mask};
+}
+
+std::vector<Layout> layouts() {
+  return {triangle_layout(), holes_layout(), layered_layout(2),
+          layered_layout(3)};
+}
+
+// Every kernel-lowerable term at once. Without exchange no op reaches
+// off-cell, so every active cell of a long enough row joins a run, the
+// grid's border rows included.
+std::vector<std::unique_ptr<FieldTerm>> make_terms(const Grid& g,
+                                                   bool exchange = true) {
   std::vector<std::unique_ptr<FieldTerm>> terms;
-  terms.push_back(std::make_unique<ExchangeField>());
+  if (exchange) terms.push_back(std::make_unique<ExchangeField>());
   terms.push_back(std::make_unique<UniaxialAnisotropyField>(Vec3{0, 0, 1}));
   terms.push_back(std::make_unique<ThinFilmDemagField>());
   terms.push_back(std::make_unique<UniformZeemanField>(Vec3{0, 0, 2.0e4}));
@@ -105,23 +170,30 @@ struct RunResult {
   StepperStats stats;
 };
 
-// Runs `steps` stepper calls under the given kernel mode and job count.
-// ref_mode: 1 = scalar reference oracle, 0 = fused kernel path.
-RunResult run_steps(StepperKind kind, int ref_mode, std::size_t cell_jobs,
-                    std::size_t steps, double dt, double tolerance = 1e-5) {
+// Runs `steps` stepper calls on `layout` under the given kernel mode and
+// job count. ref_mode: 1 = scalar reference oracle, 0 = fused kernel path.
+RunResult run_layout(const Layout& layout, StepperKind kind, int ref_mode,
+                     std::size_t cell_jobs, std::size_t steps, double dt,
+                     double tolerance = 1e-5, bool exchange = true) {
   KernelModeGuard guard;
   kernels::set_force_reference(ref_mode);
   kernels::set_cell_jobs(cell_jobs);
 
-  const Grid g = make_grid();
-  const System sys(g, Material::fecob(), triangle_mask(g));
-  auto terms = make_terms(g);
+  const System sys(layout.grid, Material::fecob(), layout.mask);
+  auto terms = make_terms(layout.grid, exchange);
   VectorField m = initial_m(sys);
 
   Stepper stepper(kind, dt, tolerance);
   double t = 0.0;
   for (std::size_t s = 0; s < steps; ++s) t += stepper.step(sys, terms, m, t);
   return RunResult{std::move(m), stepper.stats()};
+}
+
+// run_layout on the triangle.
+RunResult run_steps(StepperKind kind, int ref_mode, std::size_t cell_jobs,
+                    std::size_t steps, double dt, double tolerance = 1e-5) {
+  return run_layout(triangle_layout(), kind, ref_mode, cell_jobs, steps, dt,
+                    tolerance);
 }
 
 ::testing::AssertionResult bytes_identical(const VectorField& a,
@@ -219,6 +291,66 @@ TEST(KernelBitExact, WatchdogTripsAtTheSameStep) {
   EXPECT_EQ(steps_until_trip(1), steps_until_trip(0));
 }
 
+TEST(KernelBitExact, SlotOffsetLayoutsMatchReferenceAtEveryJobCount) {
+  // Holes split rows into runs with distinct ±y slot offsets; the layered
+  // grids put ±z neighbours in the edge table (two layers: no cell has
+  // both) and in the run offsets (three layers). Without exchange the runs
+  // also cover the grid's border rows and layers, whose ±y/±z neighbours
+  // lie outside the grid.
+  for (const Layout& layout : layouts()) {
+    for (const bool exchange : {true, false}) {
+      for (const StepperKind kind : {StepperKind::kRk4, StepperKind::kRkf45}) {
+        const auto ref =
+            run_layout(layout, kind, 1, 1, 20, 2e-13, 1e-5, exchange);
+        for (const std::size_t jobs : {1u, 2u, 8u}) {
+          const auto fused =
+              run_layout(layout, kind, 0, jobs, 20, 2e-13, 1e-5, exchange);
+          EXPECT_TRUE(bytes_identical(ref.m, fused.m))
+              << layout.name << " exchange " << exchange << " stepper "
+              << static_cast<int>(kind) << " cell_jobs " << jobs;
+          EXPECT_EQ(ref.stats.steps_rejected, fused.stats.steps_rejected);
+          EXPECT_EQ(ref.stats.field_evaluations,
+                    fused.stats.field_evaluations);
+          EXPECT_EQ(ref.stats.last_dt, fused.stats.last_dt);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBitExact, VacuumIsPositiveZeroOnBothPaths) {
+  // The kernel path never writes a vacuum cell; the reference adds +0.0
+  // to it. Simulation::set_magnetization canonicalizes vacuum to +0.0, so
+  // -0.0 or nonzero input there cannot make the two paths differ.
+  const Layout layout = triangle_layout();
+  const System sys(layout.grid, Material::fecob(), layout.mask);
+  VectorField input = initial_m(sys);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    if (layout.mask[i]) continue;
+    input[i] = i % 2 == 0 ? Vec3{-0.0, -0.0, -0.0} : Vec3{0.5, -0.0, -2.0};
+  }
+  auto run = [&](int ref_mode) {
+    KernelModeGuard guard;
+    kernels::set_force_reference(ref_mode);
+    Simulation sim(sys);
+    for (auto& term : make_terms(layout.grid)) sim.add_term(std::move(term));
+    sim.set_stepper(StepperKind::kRk4, 2e-13);
+    sim.set_magnetization(input);
+    sim.run(12 * 2e-13);
+    EXPECT_GE(sim.stepper_stats().steps_taken, 12u);
+    return sim.magnetization();
+  };
+  const VectorField ref = run(1);
+  const VectorField fused = run(0);
+  EXPECT_TRUE(bytes_identical(ref, fused));
+  const Vec3 zero{};
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (layout.mask[i]) continue;
+    EXPECT_EQ(std::memcmp(&ref[i], &zero, sizeof(Vec3)), 0)
+        << "vacuum cell " << i << " is not +0.0";
+  }
+}
+
 TEST(KernelDeterminism, CellJobsDoNotChangeBytes) {
   const auto serial = run_steps(StepperKind::kRk4, 0, 1, 20, 2e-13);
   const auto jobs2 = run_steps(StepperKind::kRk4, 0, 2, 20, 2e-13);
@@ -299,52 +431,148 @@ TEST(KernelPlan, RejectsTermsItCannotLower) {
   }
 }
 
-TEST(KernelPlan, InteriorAndEdgePartitionTheActiveSet) {
-  const Grid g = make_grid();
-  const System sys(g, Material::fecob(), triangle_mask(g));
+// Flat index of cell xyz's neighbour k (-x,+x,-y,+y,-z,+z), or -1 when
+// it lies outside the grid.
+std::ptrdiff_t flat_neighbour(const Grid& g, std::size_t i, int k) {
+  const auto c = g.unindex(i);
+  std::ptrdiff_t x = static_cast<std::ptrdiff_t>(c.x);
+  std::ptrdiff_t y = static_cast<std::ptrdiff_t>(c.y);
+  std::ptrdiff_t z = static_cast<std::ptrdiff_t>(c.z);
+  const std::ptrdiff_t d = k % 2 == 0 ? -1 : 1;
+  (k < 2 ? x : k < 4 ? y : z) += d;
+  if (x < 0 || y < 0 || z < 0 || x >= static_cast<std::ptrdiff_t>(g.nx()) ||
+      y >= static_cast<std::ptrdiff_t>(g.ny()) ||
+      z >= static_cast<std::ptrdiff_t>(g.nz())) {
+    return -1;
+  }
+  return static_cast<std::ptrdiff_t>(g.index(static_cast<std::size_t>(x),
+                                             static_cast<std::size_t>(y),
+                                             static_cast<std::size_t>(z)));
+}
+
+void expect_partition(const Layout& layout) {
+  SCOPED_TRACE(layout.name);
+  const Grid& g = layout.grid;
+  const System sys(g, Material::fecob(), layout.mask);
   auto terms = make_terms(g);
   const auto plan = kernels::build_plan(sys, terms);
   ASSERT_NE(plan, nullptr);
   ASSERT_TRUE(plan->fused_ok);
-  ASSERT_GT(plan->runs.size(), 0u);
   ASSERT_GT(plan->edge_slots.size(), 0u);
+  if (g.nz() != 2) {
+    ASSERT_GT(plan->runs.size(), 0u);
+  }
 
-  EXPECT_EQ(plan->active.size(), sys.magnetic_cell_count());
-  EXPECT_EQ(plan->interior_total + plan->edge_slots.size(),
-            plan->active.size());
+  // The slot order is the System's active-cell list: the masked cells,
+  // ascending.
+  const auto& mask = sys.mask();
+  const auto& active = sys.active_cells();
+  ASSERT_EQ(plan->active.get(), &active);
+  std::vector<std::uint32_t> masked;
+  for (std::size_t i = 0; i < g.cell_count(); ++i) {
+    if (mask[i]) masked.push_back(static_cast<std::uint32_t>(i));
+  }
+  ASSERT_EQ(active, masked);
+
+  EXPECT_EQ(plan->slots(), sys.magnetic_cell_count());
+  EXPECT_EQ(plan->interior_total + plan->edge_slots.size(), plan->slots());
 
   // Every interior cell is active with every existing-axis neighbour
-  // in-bounds and active, and no cell appears twice.
-  const auto& mask = sys.mask();
-  std::vector<int> seen(g.cell_count(), 0);
+  // in-bounds and active, its six neighbour slots (±1, then the run's
+  // ±y/±z offsets) are exactly those neighbours, and no slot appears
+  // twice.
+  std::vector<int> seen(plan->slots(), 0);
   std::uint64_t counted = 0;
   for (std::size_t r = 0; r < plan->runs.size(); ++r) {
     const auto& run = plan->runs[r];
     EXPECT_EQ(plan->run_prefix[r], counted);
-    for (std::uint32_t i = run.b; i < run.e; ++i) {
-      ++seen[i];
+    const std::ptrdiff_t nbo[6] = {-1, 1, run.off[0], run.off[1],
+                                   run.off[2], run.off[3]};
+    for (std::uint32_t s = run.b; s < run.e; ++s) {
+      ++seen[s];
+      const std::size_t i = active[s];
       EXPECT_TRUE(mask[i]);
       const auto xyz = g.unindex(i);
       ASSERT_GT(xyz.x, 0u);
       ASSERT_LT(xyz.x + 1, g.nx());
       EXPECT_TRUE(mask[i - 1] && mask[i + 1]);
-      ASSERT_GT(xyz.y, 0u);
-      ASSERT_LT(xyz.y + 1, g.ny());
-      EXPECT_TRUE(mask[g.index(xyz.x, xyz.y - 1, 0)]);
-      EXPECT_TRUE(mask[g.index(xyz.x, xyz.y + 1, 0)]);
+      if (g.ny() > 1) {
+        ASSERT_GT(xyz.y, 0u);
+        ASSERT_LT(xyz.y + 1, g.ny());
+        EXPECT_TRUE(mask[g.index(xyz.x, xyz.y - 1, xyz.z)]);
+        EXPECT_TRUE(mask[g.index(xyz.x, xyz.y + 1, xyz.z)]);
+      }
+      if (g.nz() > 1) {
+        ASSERT_GT(xyz.z, 0u);
+        ASSERT_LT(xyz.z + 1, g.nz());
+        EXPECT_TRUE(mask[g.index(xyz.x, xyz.y, xyz.z - 1)]);
+        EXPECT_TRUE(mask[g.index(xyz.x, xyz.y, xyz.z + 1)]);
+      }
+      const bool used[3] = {g.nx() > 1, g.ny() > 1, g.nz() > 1};
+      for (int k = 0; k < 6; ++k) {
+        if (!used[k / 2]) continue;
+        const std::ptrdiff_t ns = static_cast<std::ptrdiff_t>(s) + nbo[k];
+        ASSERT_GE(ns, 0);
+        ASSERT_LT(ns, static_cast<std::ptrdiff_t>(plan->slots()));
+        EXPECT_EQ(static_cast<std::ptrdiff_t>(active[ns]),
+                  flat_neighbour(g, i, k))
+            << "slot " << s << " neighbour " << k;
+      }
     }
     counted += run.e - run.b;
   }
   EXPECT_EQ(counted, plan->interior_total);
-  for (const std::uint32_t s : plan->edge_slots) ++seen[plan->active[s]];
-  for (std::size_t i = 0; i < g.cell_count(); ++i) {
-    EXPECT_EQ(seen[i], mask[i] ? 1 : 0) << "cell " << i;
+  for (const std::uint32_t s : plan->edge_slots) ++seen[s];
+  for (std::size_t s = 0; s < plan->slots(); ++s) {
+    EXPECT_EQ(seen[s], 1) << "slot " << s;
+  }
+
+  // The edge table: each entry is the slot of the flat neighbour, or the
+  // slot itself where that neighbour is outside the grid or vacuum.
+  ASSERT_EQ(plan->nb.size(), 6 * plan->slots());
+  for (std::size_t s = 0; s < plan->slots(); ++s) {
+    for (int k = 0; k < 6; ++k) {
+      const std::ptrdiff_t j = flat_neighbour(g, active[s], k);
+      const std::uint32_t ns = plan->nb[6 * s + k];
+      if (j < 0 || !mask[static_cast<std::size_t>(j)]) {
+        EXPECT_EQ(ns, s) << "slot " << s << " neighbour " << k;
+      } else {
+        EXPECT_EQ(static_cast<std::ptrdiff_t>(active[ns]), j)
+            << "slot " << s << " neighbour " << k;
+      }
+    }
   }
 }
 
-TEST(KernelPlan, AntennaGateMatchesRegionAndMask) {
-  const Grid g = make_grid();
-  const System sys(g, Material::fecob(), triangle_mask(g));
+TEST(KernelPlan, InteriorAndEdgePartitionTheActiveSet) {
+  for (const Layout& layout : layouts()) expect_partition(layout);
+}
+
+TEST(KernelPlan, HoleRowRunsHaveDistinctYOffsets) {
+  // The 2x1 hole at y = 9 splits that row into runs whose ±y offsets
+  // differ by the hole's two cells: the slots between the right run and
+  // its -y neighbours skip the hole, and so do those between the left
+  // run and its +y neighbours.
+  const Layout layout = holes_layout();
+  const System sys(layout.grid, Material::fecob(), layout.mask);
+  auto terms = make_terms(layout.grid);
+  const auto plan = kernels::build_plan(sys, terms);
+  ASSERT_NE(plan, nullptr);
+  std::vector<const kernels::KernelPlan::Run*> row;
+  for (const auto& run : plan->runs) {
+    if (layout.grid.unindex(sys.active_cells()[run.b]).y == 9) {
+      row.push_back(&run);
+    }
+  }
+  ASSERT_GE(row.size(), 2u);
+  EXPECT_EQ(row.front()->off[0] - row.back()->off[0], -2);
+  EXPECT_EQ(row.front()->off[1] - row.back()->off[1], -2);
+}
+
+void expect_antenna_gate(const Layout& layout) {
+  SCOPED_TRACE(layout.name);
+  const Grid& g = layout.grid;
+  const System sys(g, Material::fecob(), layout.mask);
   auto terms = make_terms(g);
   const auto plan = kernels::build_plan(sys, terms);
   ASSERT_NE(plan, nullptr);
@@ -355,26 +583,35 @@ TEST(KernelPlan, AntennaGateMatchesRegionAndMask) {
     if (op.kind == kernels::OpKind::kAntenna) antenna = &op;
   }
   ASSERT_NE(antenna, nullptr);
-  ASSERT_EQ(antenna->gate.size(), g.cell_count());
+  ASSERT_EQ(antenna->gate.size(), plan->slots());
 
   const Mask region = antenna_region(g);
   const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < g.cell_count(); ++i) {
-    EXPECT_EQ(antenna->gate[i], (region[i] && mask[i]) ? 1.0 : 0.0)
-        << "cell " << i;
+  const auto& active = sys.active_cells();
+  std::vector<std::uint32_t> driven;
+  for (std::size_t s = 0; s < plan->slots(); ++s) {
+    const std::size_t i = active[s];
+    const bool on = region[i] && mask[i];
+    EXPECT_EQ(antenna->gate[s], on ? 1.0 : 0.0) << "slot " << s;
+    if (on) driven.push_back(static_cast<std::uint32_t>(s));
   }
-  ASSERT_EQ(plan->antenna_bits.size(), plan->active.size());
-  for (std::size_t s = 0; s < plan->active.size(); ++s) {
-    const bool driven = (plan->antenna_bits[s] & 1u) != 0;
-    EXPECT_EQ(driven, antenna->gate[plan->active[s]] != 0.0) << "slot " << s;
+  EXPECT_EQ(antenna->cells, driven);
+  ASSERT_EQ(plan->antenna_bits.size(), plan->slots());
+  for (std::size_t s = 0; s < plan->slots(); ++s) {
+    const bool on = (plan->antenna_bits[s] & 1u) != 0;
+    EXPECT_EQ(on, antenna->gate[s] != 0.0) << "slot " << s;
   }
   for (const auto& run : plan->runs) {
     bool any = false;
-    for (std::uint32_t i = run.b; i < run.e && !any; ++i) {
-      any = antenna->gate[i] != 0.0;
+    for (std::uint32_t s = run.b; s < run.e && !any; ++s) {
+      any = antenna->gate[s] != 0.0;
     }
     EXPECT_EQ((run.antenna & 1u) != 0, any);
   }
+}
+
+TEST(KernelPlan, AntennaGateMatchesRegionAndMask) {
+  for (const Layout& layout : layouts()) expect_antenna_gate(layout);
 }
 
 }  // namespace

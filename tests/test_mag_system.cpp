@@ -1,5 +1,8 @@
 #include "mag/system.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "math/constants.h"
@@ -93,6 +96,40 @@ TEST(System, AlphaFieldValidation) {
 
   ScalarField above(tiny_grid(), 1.5);
   EXPECT_THROW(sys.set_alpha_field(above), std::invalid_argument);
+}
+
+TEST(System, RegionCellsAreRegionAndMaskPerSystem) {
+  const Grid g = tiny_grid();
+  Mask region(g);
+  for (std::size_t x = 0; x < 4; ++x) region.set_at(x, 1, true);
+  Mask left(g), right(g);
+  for (std::size_t y = 0; y < 4; ++y) {
+    left.set_at(0, y, true);
+    left.set_at(1, y, true);
+    right.set_at(3, y, true);
+  }
+  const System a(g, Material::fecob(), left);
+  const System b(g, Material::fecob(), right);
+  const System c(g, Material::fecob());
+  const std::vector<std::uint32_t> in_a = {4, 5}, in_b = {7},
+                                   in_c = {4, 5, 6, 7};
+  RegionCells cells(region);
+  // Alternating Systems (a relaxation copy and the run System) each get
+  // their own list, and a copy of a System hits its original's entry.
+  EXPECT_EQ(cells.of(a), in_a);
+  EXPECT_EQ(cells.of(b), in_b);
+  EXPECT_EQ(cells.of(a), in_a);
+  // A System rebuilt from the same mask has a list of its own; a copy
+  // shares its original's.
+  const System a_copy = a;
+  EXPECT_EQ(&a_copy.active_cells(), &a.active_cells());
+  EXPECT_EQ(&cells.of(a_copy), &cells.of(a));
+  const System a_rebuilt(g, Material::fecob(), left);
+  EXPECT_NE(&a_rebuilt.active_cells(), &a.active_cells());
+  // A third System evicts the older entry; the evicted one is rebuilt.
+  EXPECT_EQ(cells.of(c), in_c);
+  EXPECT_EQ(cells.of(b), in_b);
+  EXPECT_EQ(cells.of(a), in_a);
 }
 
 }  // namespace
