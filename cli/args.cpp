@@ -5,6 +5,8 @@
 #include <ranges>
 #include <stdexcept>
 
+#include "engine/thread_pool.h"
+
 namespace swsim::cli {
 
 Args Args::parse(const Command& command, std::span<const std::string> words,
@@ -120,6 +122,18 @@ std::size_t Args::unsigned_integer(const std::string& key,
                                 *value(key) + "'");
   }
   return static_cast<std::size_t>(parsed);
+}
+
+std::size_t Args::thread_count(const std::string& key,
+                               std::size_t fallback) const {
+  const std::size_t n = unsigned_integer(key, fallback);
+  if (value(key) && n > engine::ThreadPool::kMaxThreads) {
+    throw std::invalid_argument(
+        "Args: option --" + key + " expects at most " +
+        std::to_string(engine::ThreadPool::kMaxThreads) + " threads, got '" +
+        *value(key) + "'");
+  }
+  return n;
 }
 
 Invocation parse_command_line(std::span<const Command> table, int argc,

@@ -69,6 +69,11 @@ class Args {
   // counts ("--jobs -4" cannot mean anything).
   std::size_t unsigned_integer(const std::string& key,
                                std::size_t fallback) const;
+  // Like unsigned_integer() but also rejects more than
+  // engine::ThreadPool::kMaxThreads — for flags that start that many
+  // threads (--jobs, --cell-jobs, --dispatchers).
+  std::size_t thread_count(const std::string& key,
+                           std::size_t fallback) const;
 
  private:
   std::string command_;

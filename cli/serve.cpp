@@ -79,7 +79,7 @@ int cmd_version(const Args&) {
 int cmd_serve(const Args& args) {
   serve::ServerConfig cfg;
   std::tie(cfg.socket_path, cfg.tcp_port) = endpoint_from(args);
-  cfg.dispatchers = args.unsigned_integer("dispatchers", 2);
+  cfg.dispatchers = args.thread_count("dispatchers", 2);
   cfg.queue_capacity = args.unsigned_integer("queue", 64);
   cfg.max_sessions = args.unsigned_integer("max-sessions", 64);
   cfg.retry_after_s = args.number("retry-after", 0.5);
@@ -221,12 +221,16 @@ int cmd_client(const Args& args) {
     // the merged file connects them with no negotiation. When --trace-out
     // is absent tracing stays disarmed and all of this is a no-op.
     if (!trace_out.empty()) obs::TraceSession::global().start();
-    obs::Span span("client.request " + type, "client",
-                   obs::JsonWriter()
-                       .begin_object()
-                       .field("trace_id", trace_id)
-                       .end_object()
-                       .take());
+    std::string span_name, span_args;
+    if (obs::tracing()) {
+      span_name = "client.request " + type;
+      span_args = obs::JsonWriter()
+                      .begin_object()
+                      .field("trace_id", trace_id)
+                      .end_object()
+                      .take();
+    }
+    obs::Span span(span_name, "client", span_args);
     obs::record_flow("client.request", "client", request.flow_id(), 's');
     status = serve::call_with_retries(socket, port, request, policy,
                                       &response, &stats);

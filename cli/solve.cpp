@@ -111,7 +111,8 @@ class SolveRun {
     }
     if (!metrics_out_.empty()) {
       obs::MetricsRegistry::disarm();
-      wrote(obs::MetricsRegistry::global().write_json(metrics_out_, &error),
+      wrote(obs::write_json_file(metrics_out_,
+                                 obs::MetricsRegistry::global().json(), &error),
             "metrics-out", metrics_out_, "metrics");
     }
     if (!log_json_.empty()) obs::EventLog::global().close();
@@ -130,11 +131,11 @@ class SolveRun {
 
 engine::EngineConfig engine_config_from(const Args& args) {
   engine::EngineConfig cfg;
-  cfg.jobs = args.unsigned_integer("jobs", 0);
+  cfg.jobs = args.thread_count("jobs", 0);
   // --cell-jobs 0 asks for the hardware threads; an engine's 0 means "keep
   // the process-wide setting" (SWSIM_CELL_JOBS), which is what no flag does.
   if (args.has("cell-jobs")) {
-    const std::size_t n = args.unsigned_integer("cell-jobs", 0);
+    const std::size_t n = args.thread_count("cell-jobs", 0);
     cfg.cell_jobs = n > 0 ? n : engine::ThreadPool::default_threads();
   }
   cfg.use_cache = !args.has("no-cache");
@@ -227,7 +228,7 @@ bool write_trace(const std::string& path, const std::string& prefix,
   session.stop();
   const std::size_t events = session.event_count();
   std::string error;
-  if (!session.write_chrome_json(path, &error)) {
+  if (!obs::write_json_file(path, session.chrome_json(), &error)) {
     std::cerr << (prefix.empty() ? "error: " : prefix)
               << "--trace-out: " << error << '\n';
     return false;

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   core::Circuit circuit(/*max_fanout=*/2);
   const core::RippleAdderSignals adder = core::build_ripple_adder(circuit, bits);
   for (std::size_t i = 0; i < bits; ++i) {
-    circuit.mark_output(adder.sum[i], "s" + std::to_string(i));
+    circuit.mark_output(adder.sum[i], 's' + std::to_string(i));
   }
   circuit.mark_output(adder.cout, "cout");
 

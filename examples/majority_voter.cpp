@@ -55,7 +55,7 @@ int main() {
     const core::Signal v = core::build_tmr_voter(
         circuit, m0[static_cast<std::size_t>(bit)],
         m1[static_cast<std::size_t>(bit)], m2[static_cast<std::size_t>(bit)]);
-    circuit.mark_output(v, "v" + std::to_string(bit));
+    circuit.mark_output(v, 'v' + std::to_string(bit));
     voted.push_back(v);
   }
 
@@ -111,7 +111,7 @@ int main() {
   core::Circuit tree(/*max_fanout=*/2);
   std::vector<core::Signal> leaves;
   for (int i = 0; i < 9; ++i) {
-    leaves.push_back(tree.input("x" + std::to_string(i)));
+    leaves.push_back(tree.input('x' + std::to_string(i)));
   }
   const core::Signal g1 = tree.add_maj3(leaves[0], leaves[1], leaves[2]);
   const core::Signal g2 = tree.add_maj3(leaves[3], leaves[4], leaves[5]);

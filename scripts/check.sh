@@ -23,27 +23,24 @@
 #      `swsim bench gate`, and a deliberately deflated baseline must make
 #      the gate FAIL (exit non-zero) — the regression detector detects.
 #      (Solver and serve timing is swbench's job: swbench/README.md.)
-#   6. an SWSIM_OBS_OFF compile check: the whole library + CLI must still
-#      build with observability compiled out (the stub headers are only
-#      honest if something links against them regularly).
-#   7. a serve smoke: a real `swsim serve` daemon on a Unix socket, probed
+#   6. a serve smoke: a real `swsim serve` daemon on a Unix socket, probed
 #      by concurrent `swsim client --verify` tenants (served bytes must
 #      equal locally recomputed CLI bytes), a per-tenant injected fault, a
 #      warm-cache re-request proven by healthz counters, and a SIGTERM
 #      drain with an in-flight request that must complete (docs/SERVING.md).
-#   8. a chaos smoke: the daemon starts over a crash-littered cache dir
+#   7. a chaos smoke: the daemon starts over a crash-littered cache dir
 #      (corrupt spill entry + orphaned tmp file) and must report both
 #      recovered; a seeded `swsim client --chaos` storm must end every
 #      exchange terminally (0 hung); an expired deadline must come back as
 #      a deadline-exceeded rejection (client exit 5) without engine work;
 #      and the daemon must still SIGTERM-drain clean afterwards
 #      (docs/ROBUSTNESS.md).
-#   9. a serve-telemetry smoke: a traced daemon + traced client round trip
+#   8. a serve-telemetry smoke: a traced daemon + traced client round trip
 #      merged into one timeline by `swsim trace merge` and validated by
 #      `swsim trace-check` (flow events across two pids); the request log
 #      must carry the client's trace id; and SIGQUIT must dump the flight
 #      recorder without killing the daemon (docs/OBSERVABILITY.md).
-#  10. a physics-telemetry smoke: a served micromag job watched live by
+#   9. a physics-telemetry smoke: a served micromag job watched live by
 #      `swsim probe tail` (frames must stream while the solve runs and the
 #      daemon's healthz must account for them); a local run whose
 #      swsim.profile/1 dump carries a physics block with a real
@@ -56,8 +53,7 @@
 #        libtsan).
 #        SWSIM_CHECK_SKIP_ASAN=1 skips stage 3 (toolchains without libasan).
 #        SWSIM_CHECK_SKIP_BENCH=1 skips stage 5.
-#        SWSIM_CHECK_SKIP_OBSOFF=1 skips stage 6.
-#        SWSIM_CHECK_SKIP_SERVE=1 skips stages 7-10.
+#        SWSIM_CHECK_SKIP_SERVE=1 skips stages 6-9.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,7 +61,7 @@ BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 echo "== stage 1: build + ctest (${BUILD_DIR}) =="
-cmake -B "${BUILD_DIR}" -S . >/dev/null
+cmake -B "${BUILD_DIR}" -S . -DSWSIM_WERROR=ON >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
@@ -182,23 +178,10 @@ else
   echo "stage 5: gate correctly failed on the deflated baseline"
 fi
 
-if [[ "${SWSIM_CHECK_SKIP_OBSOFF:-0}" == "1" ]]; then
-  echo "== stage 6: OBS_OFF build skipped (SWSIM_CHECK_SKIP_OBSOFF=1) =="
-else
-  OBSOFF_DIR="${BUILD_DIR}-obsoff"
-  echo "== stage 6: SWSIM_OBS_OFF compile check (${OBSOFF_DIR}) =="
-  cmake -B "${OBSOFF_DIR}" -S . \
-    -DSWSIM_OBS_OFF=ON -DSWSIM_BUILD_TESTS=OFF -DSWSIM_BUILD_BENCH=OFF \
-    -DSWSIM_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "${OBSOFF_DIR}" -j "${JOBS}" --target swsim
-  # The disarmed CLI must still run and not emit progress noise.
-  "${OBSOFF_DIR}/cli/swsim" truthtable maj >/dev/null
-fi
-
 if [[ "${SWSIM_CHECK_SKIP_SERVE:-0}" == "1" ]]; then
-  echo "== stage 7: serve smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
+  echo "== stage 6: serve smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
 else
-  echo "== stage 7: serve daemon smoke =="
+  echo "== stage 6: serve daemon smoke =="
   SERVE_DIR="${BUILD_DIR}/serve-smoke"
   rm -rf "${SERVE_DIR}"
   mkdir -p "${SERVE_DIR}"
@@ -234,7 +217,7 @@ else
   # actually run and hit the injected per-tenant fault.
   if "${SWSIM}" client --socket "${SOCK}" --client faulty yield maj \
       --trials 200 > "${SERVE_DIR}/faulty.txt" 2>&1; then
-    echo "stage 7: the injected per-tenant fault did not fail" >&2
+    echo "stage 6: the injected per-tenant fault did not fail" >&2
     exit 1
   fi
 
@@ -252,7 +235,7 @@ else
   HITS_AFTER="$(health hits)"
   if [[ "${JOBS_AFTER}" != "${JOBS_BEFORE}" || \
         "${HITS_AFTER}" -le "${HITS_BEFORE}" ]]; then
-    echo "stage 7: warm-cache repeat re-solved (jobs ${JOBS_BEFORE} -> \
+    echo "stage 6: warm-cache repeat re-solved (jobs ${JOBS_BEFORE} -> \
 ${JOBS_AFTER}, hits ${HITS_BEFORE} -> ${HITS_AFTER})" >&2
     exit 1
   fi
@@ -268,20 +251,20 @@ ${JOBS_AFTER}, hits ${HITS_BEFORE} -> ${HITS_AFTER})" >&2
   wait "${SERVE_PID}"
   trap - EXIT
   grep -q "yield" "${SERVE_DIR}/inflight.txt"
-  test ! -e "${SOCK}" || { echo "stage 7: socket not unlinked" >&2; exit 1; }
+  test ! -e "${SOCK}" || { echo "stage 6: socket not unlinked" >&2; exit 1; }
   # The request log accounted for every request: the failed tenant, the
   # warm repeat, and the drained in-flight yield all have JSONL lines.
   grep -q '"client":"faulty".*"code":"internal"' "${SERVE_DIR}/requests.jsonl"
   grep -q '"client":"repeat".*"code":"ok"' "${SERVE_DIR}/requests.jsonl"
   grep -q '"client":"inflight".*"type":"yield".*"code":"ok"' \
     "${SERVE_DIR}/requests.jsonl"
-  echo "stage 7: serve smoke passed"
+  echo "stage 6: serve smoke passed"
 fi
 
 if [[ "${SWSIM_CHECK_SKIP_SERVE:-0}" == "1" ]]; then
-  echo "== stage 8: chaos smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
+  echo "== stage 7: chaos smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
 else
-  echo "== stage 8: chaos transport + crash-recovery smoke =="
+  echo "== stage 7: chaos transport + crash-recovery smoke =="
   CHAOS_DIR="${BUILD_DIR}/chaos-smoke"
   rm -rf "${CHAOS_DIR}"
   mkdir -p "${CHAOS_DIR}/cache"
@@ -330,7 +313,7 @@ else
     --deadline 0.05 yield maj --trials 100000 \
     > "${CHAOS_DIR}/hurried.txt" 2>&1 || HURRIED_RC=$?
   if [[ "${HURRIED_RC}" -ne 5 ]]; then
-    echo "stage 8: expected exit 5 for a deadline-exceeded request," \
+    echo "stage 7: expected exit 5 for a deadline-exceeded request," \
          "got ${HURRIED_RC}" >&2
     exit 1
   fi
@@ -343,7 +326,7 @@ else
     sleep 0.1
   done
   if [[ "${REJECTED:-0}" -lt 1 ]]; then
-    echo "stage 8: deadline rejection not visible in healthz" >&2
+    echo "stage 7: deadline rejection not visible in healthz" >&2
     exit 1
   fi
 
@@ -354,14 +337,14 @@ else
   kill -TERM "${SERVE_PID}"
   wait "${SERVE_PID}"
   trap - EXIT
-  test ! -e "${SOCK}" || { echo "stage 8: socket not unlinked" >&2; exit 1; }
-  echo "stage 8: chaos smoke passed"
+  test ! -e "${SOCK}" || { echo "stage 7: socket not unlinked" >&2; exit 1; }
+  echo "stage 7: chaos smoke passed"
 fi
 
 if [[ "${SWSIM_CHECK_SKIP_SERVE:-0}" == "1" ]]; then
-  echo "== stage 9: serve telemetry smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
+  echo "== stage 8: serve telemetry smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
 else
-  echo "== stage 9: serve telemetry smoke (traces, slo, flight recorder) =="
+  echo "== stage 8: serve telemetry smoke (traces, slo, flight recorder) =="
   TELEM_DIR="${BUILD_DIR}/telemetry-smoke"
   rm -rf "${TELEM_DIR}"
   mkdir -p "${TELEM_DIR}"
@@ -402,7 +385,7 @@ else
     sleep 0.1
   done
   if [[ "${DUMPED}" -ne 1 ]]; then
-    echo "stage 9: SIGQUIT did not dump the flight recorder" >&2
+    echo "stage 8: SIGQUIT did not dump the flight recorder" >&2
     exit 1
   fi
   "${SWSIM}" client --socket "${SOCK}" hello >/dev/null
@@ -421,20 +404,20 @@ else
     > "${TELEM_DIR}/trace_check.txt"
   grep -q "trace OK" "${TELEM_DIR}/trace_check.txt"
   if grep -q " 0 flow events" "${TELEM_DIR}/trace_check.txt"; then
-    echo "stage 9: merged trace carries no flow events" >&2
+    echo "stage 8: merged trace carries no flow events" >&2
     exit 1
   fi
   grep -q "across 2 processes" "${TELEM_DIR}/trace_check.txt"
 
   # The request log carries the client's trace id end to end.
   grep -q '"trace_id":"smoke-trace"' "${TELEM_DIR}/requests.jsonl"
-  echo "stage 9: serve telemetry smoke passed"
+  echo "stage 8: serve telemetry smoke passed"
 fi
 
 if [[ "${SWSIM_CHECK_SKIP_SERVE:-0}" == "1" ]]; then
-  echo "== stage 10: physics telemetry smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
+  echo "== stage 9: physics telemetry smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="
 else
-  echo "== stage 10: physics telemetry smoke (probe stream, convergence) =="
+  echo "== stage 9: physics telemetry smoke (probe stream, convergence) =="
   PROBE_DIR="${BUILD_DIR}/probe-smoke"
   rm -rf "${PROBE_DIR}"
   mkdir -p "${PROBE_DIR}"
@@ -489,7 +472,7 @@ else
   SAVED="$(grep -o 'early stop saved [0-9]*' "${PROBE_DIR}/early.txt" \
            | awk '{print $4}')"
   if [[ -z "${SAVED}" || "${SAVED}" -eq 0 ]]; then
-    echo "stage 10: --early-stop saved no integration steps" >&2
+    echo "stage 9: --early-stop saved no integration steps" >&2
     exit 1
   fi
   for f in full early; do
@@ -497,10 +480,10 @@ else
       | awk '{print $1, $2, $3, $6, $7, $8, $9}' > "${PROBE_DIR}/${f}.logic"
   done
   if ! diff -u "${PROBE_DIR}/full.logic" "${PROBE_DIR}/early.logic"; then
-    echo "stage 10: --early-stop changed the detected logic" >&2
+    echo "stage 9: --early-stop changed the detected logic" >&2
     exit 1
   fi
-  echo "stage 10: physics telemetry smoke passed"
+  echo "stage 9: physics telemetry smoke passed"
 fi
 
 echo "== all checks passed =="

@@ -114,7 +114,7 @@ Harness::Harness(std::string name, int* argc, char** argv)
       if (warmup_ < 0) throw std::invalid_argument("--warmup must be >= 0");
     } else if (std::strcmp(a, "--out-dir") == 0) {
       out_dir_ = value_of(i, "--out-dir");
-      if (out_dir_.empty()) out_dir_ = ".";
+      if (out_dir_.empty()) out_dir_ = '.';
     } else {
       argv[out++] = argv[i];
     }

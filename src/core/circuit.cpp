@@ -35,7 +35,7 @@ Signal Circuit::input(std::string name) {
 Signal Circuit::constant(bool value) {
   Node n;
   n.kind = NodeKind::kConst;
-  n.name = value ? "1" : "0";
+  n.name = value ? '1' : '0';
   n.const_value = value;
   nodes_.push_back(std::move(n));
   return nodes_.size() - 1;
@@ -203,10 +203,10 @@ RippleAdderSignals build_ripple_adder(Circuit& c, std::size_t bits) {
   }
   RippleAdderSignals r;
   for (std::size_t i = 0; i < bits; ++i) {
-    r.a.push_back(c.input("a" + std::to_string(i)));
+    r.a.push_back(c.input('a' + std::to_string(i)));
   }
   for (std::size_t i = 0; i < bits; ++i) {
-    r.b.push_back(c.input("b" + std::to_string(i)));
+    r.b.push_back(c.input('b' + std::to_string(i)));
   }
   r.cin = c.constant(false);
   Signal carry = r.cin;

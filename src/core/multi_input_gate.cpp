@@ -31,7 +31,7 @@ MultiInputMajGate::MultiInputMajGate(const MultiInputMajConfig& config)
   out2_ = net_.add_detector("O2");
 
   for (std::size_t i = 0; i < config_.num_inputs; ++i) {
-    const NodeId src = net_.add_source("I" + std::to_string(i + 1));
+    const NodeId src = net_.add_source('I' + std::to_string(i + 1));
     net_.connect(src, v, p.d1());
     sources_.push_back(src);
   }

@@ -70,7 +70,7 @@ std::string format_report(const ValidationReport& report) {
   const std::size_t n = report.rows.empty() ? 0 : report.rows[0].inputs.size();
   // Paper table convention: I3 I2 I1 (MSB..LSB) column order.
   for (std::size_t i = n; i-- > 0;) {
-    headers.push_back("I" + std::to_string(i + 1));
+    headers.push_back('I' + std::to_string(i + 1));
   }
   headers.insert(headers.end(), {"O1 (norm)", "O2 (norm)", "O1", "O2",
                                  "expected", "pass"});

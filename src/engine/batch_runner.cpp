@@ -194,7 +194,9 @@ TruthTableOutcome BatchRunner::run_truth_table_checked(
   // evaluate(), not the constructor.
   const auto probe = factory();
   const auto patterns = core::all_input_patterns(probe->num_inputs());
-  obs::Span span("truthtable " + probe->name(), "engine");
+  std::string span_name;
+  if (obs::tracing()) span_name = "truthtable " + probe->name();
+  obs::Span span(span_name, "engine");
 
   TruthTableOutcome outcome;
 
@@ -353,7 +355,11 @@ YieldOutcome BatchRunner::run_yield_checked(
   }
   const WallClock clock;
   const std::string prefix = label.empty() ? "" : label + " / ";
-  obs::Span span("yield " + std::to_string(trials) + " trials", "engine");
+  std::string span_name;
+  if (obs::tracing()) {
+    span_name = "yield " + std::to_string(trials) + " trials";
+  }
+  obs::Span span(span_name, "engine");
 
   struct ChunkPartial {
     std::size_t passing = 0;

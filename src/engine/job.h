@@ -33,7 +33,7 @@ enum class JobState {
   kRunning,    // executing on a pool thread
   kBackoff,    // failed retryably; waiting (off the pool) until retry_at
   kDone,       // finished successfully
-  kFailed,     // closure threw; `status`/`error` hold the cause
+  kFailed,     // closure threw; `status` holds the cause
   kTimedOut,   // deadline expired while running; result discarded
   kCancelled,  // never ran (explicit cancel or upstream failure)
 };
@@ -97,7 +97,6 @@ struct Job {
   // FailureReport row and its JSONL line carry the identical timestamp.
   std::uint64_t failed_at_us = 0;
   robust::Status status;      // cause when kFailed / kTimedOut / kCancelled
-  std::string error;          // status.message() — kept for older callers
   // Current attempt's cancellation token and start time (valid while
   // kRunning; the deadline is started_at + timeout).
   robust::CancelToken token;

@@ -169,7 +169,6 @@ void Scheduler::execute(JobId id) {
       j.status = robust::Status::error(robust::StatusCode::kCancelled,
                                        "cancelled by shutdown request",
                                        "job '" + j.label + "'");
-      j.error = j.status.message();
       sched_metrics().cancelled.add();
       settle_locked();
       for (const JobId d : j.dependents) cancel_locked(d);
@@ -185,7 +184,6 @@ void Scheduler::execute(JobId id) {
           robust::StatusCode::kDeadlineExceeded,
           "request deadline expired before the job started",
           "job '" + j.label + "'");
-      j.error = j.status.message();
       sched_metrics().timed_out.add();
       auto& elog = obs::EventLog::global();
       if (elog.enabled(obs::LogLevel::kWarn)) {
@@ -194,7 +192,7 @@ void Scheduler::execute(JobId id) {
             .emit();
       }
       if (first_error_.empty()) {
-        first_error_ = "job '" + j.label + "' failed: " + j.error;
+        first_error_ = "job '" + j.label + "' failed: " + j.status.message();
         first_status_ = j.status;
       }
       settle_locked();
@@ -294,7 +292,6 @@ void Scheduler::execute(JobId id) {
   j.state = JobState::kFailed;
   j.failed_at_us = obs::wall_now_us();
   j.status = outcome.with_context("job '" + j.label + "'");
-  j.error = outcome.message();
   sched_metrics().failed.add();
   {
     auto& elog = obs::EventLog::global();
@@ -308,7 +305,7 @@ void Scheduler::execute(JobId id) {
     }
   }
   if (first_error_.empty()) {
-    first_error_ = "job '" + j.label + "' failed: " + j.error;
+    first_error_ = "job '" + j.label + "' failed: " + j.status.message();
     first_status_ = j.status;
   }
   for (const JobId d : j.dependents) cancel_locked(d);
@@ -356,10 +353,9 @@ void Scheduler::service_timers_locked() {
             robust::StatusCode::kDeadlineExceeded,
             "request deadline expired during retry backoff",
             "job '" + j.label + "'");
-        j.error = j.status.message();
         sched_metrics().timed_out.add();
         if (first_error_.empty()) {
-          first_error_ = "job '" + j.label + "' failed: " + j.error;
+          first_error_ = "job '" + j.label + "' failed: " + j.status.message();
           first_status_ = j.status;
         }
         for (const JobId d : j.dependents) cancel_locked(d);
@@ -394,7 +390,6 @@ void Scheduler::service_timers_locked() {
                   "exceeded " + format_seconds(j.options.timeout_seconds) +
                       " s deadline",
                   "job '" + j.label + "'");
-    j.error = j.status.message();
     sched_metrics().timed_out.add();
     {
       auto& elog = obs::EventLog::global();
@@ -410,7 +405,7 @@ void Scheduler::service_timers_locked() {
     // Ask the closure to stop; it settles outstanding_ when it returns.
     j.token.request_cancel();
     if (first_error_.empty()) {
-      first_error_ = "job '" + j.label + "' failed: " + j.error;
+      first_error_ = "job '" + j.label + "' failed: " + j.status.message();
       first_status_ = j.status;
     }
     for (const JobId d : j.dependents) cancel_locked(d);

@@ -62,6 +62,10 @@ class ThreadPool {
   // Hardware concurrency, floored at 1.
   static std::size_t default_threads();
 
+  // The most threads one outside setting may ask for (--jobs, --cell-jobs,
+  // --dispatchers, SWSIM_CELL_JOBS); each starts as many as it is given.
+  static constexpr std::size_t kMaxThreads = 1024;
+
  private:
   void worker_loop(std::size_t self);
   // Pops own back, else steals a sibling's front. Caller holds mutex_.

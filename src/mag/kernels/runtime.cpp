@@ -16,7 +16,10 @@ std::size_t env_cell_jobs() {
   if (!v || !*v) return 1;
   char* end = nullptr;
   const long n = std::strtol(v, &end, 10);
-  if (end == v || n < 0) return 1;
+  if (end == v || n < 0 ||
+      static_cast<unsigned long>(n) > engine::ThreadPool::kMaxThreads) {
+    return 1;
+  }
   return static_cast<std::size_t>(n);
 }
 

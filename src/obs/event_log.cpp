@@ -1,5 +1,3 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/event_log.h"
 
 #include <cstdio>
@@ -124,5 +122,3 @@ EventLog::Event EventLog::event(LogLevel level, const char* name,
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

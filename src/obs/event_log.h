@@ -26,15 +26,12 @@
 // crashed run keeps everything emitted before the crash.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
-#ifndef SWSIM_OBS_OFF
-
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <string>
 
 #include "obs/json.h"
 
@@ -104,45 +101,3 @@ class EventLog {
 };
 
 }  // namespace swsim::obs
-
-#else  // SWSIM_OBS_OFF
-
-#include <stdexcept>
-
-namespace swsim::obs {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-inline const char* to_string(LogLevel) { return "off"; }
-inline LogLevel parse_log_level(const std::string&) {
-  throw std::invalid_argument("observability compiled out (SWSIM_OBS_OFF)");
-}
-
-class EventLog {
- public:
-  static EventLog& global() {
-    static EventLog log;
-    return log;
-  }
-  void open(const std::string&, LogLevel = LogLevel::kInfo) {
-    throw std::runtime_error("observability compiled out (SWSIM_OBS_OFF)");
-  }
-  void open_stream(void*, LogLevel = LogLevel::kInfo) {}
-  void close() {}
-  bool enabled(LogLevel) const { return false; }
-
-  class Event {
-   public:
-    Event& str(const char*, const std::string&) { return *this; }
-    Event& num(const char*, double) { return *this; }
-    Event& uint(const char*, std::uint64_t) { return *this; }
-    Event& hex(const char*, std::uint64_t) { return *this; }
-    Event& boolean(const char*, bool) { return *this; }
-    void emit() {}
-  };
-  Event event(LogLevel, const char*, std::uint64_t = 0) { return {}; }
-};
-
-}  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

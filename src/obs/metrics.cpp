@@ -1,6 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "obs/clock.h"
+#include "obs/json.h"
 
 namespace swsim::obs {
 
@@ -27,17 +31,6 @@ double HistogramSnapshot::quantile(double q) const {
   }
   return bounds.empty() ? 0.0 : bounds.back();
 }
-
-}  // namespace swsim::obs
-
-#ifndef SWSIM_OBS_OFF
-
-#include <stdexcept>
-
-#include "obs/clock.h"
-#include "obs/json.h"
-
-namespace swsim::obs {
 
 namespace detail {
 std::atomic<bool> g_metrics_armed{false};
@@ -195,11 +188,6 @@ std::string MetricsRegistry::json() const {
   return w.end_object().end_object().take();
 }
 
-bool MetricsRegistry::write_json(const std::string& path,
-                                 std::string* error) const {
-  return write_json_file(path, json(), error);
-}
-
 ScopedTimerUs::ScopedTimerUs(Counter& us_counter) {
   if (!metrics_armed()) return;
   c_ = &us_counter;
@@ -223,5 +211,3 @@ ScopedLatency::~ScopedLatency() {
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

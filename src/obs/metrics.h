@@ -13,21 +13,21 @@
 // Dumps: json() for machines (--metrics-out; `swsim stats` renders it as
 // a table). Histograms export count, sum, and per-bucket cumulative-free
 // counts, so consumers can compute rates and quantile estimates offline.
-//
-// Compile-out: SWSIM_OBS_OFF collapses everything but HistogramSnapshot
-// to inert stubs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace swsim::obs {
 
 // A histogram's counts at one instant (Histogram::Snapshot), or one read
-// back from a dump (`swsim stats`). Shared by both builds, so a dump reads
-// the same with observability compiled out.
+// back from a dump (`swsim stats`).
 struct HistogramSnapshot {
   std::vector<double> bounds;        // finite upper bounds
   std::vector<std::uint64_t> counts; // bounds.size() + 1 (overflow last)
@@ -39,17 +39,6 @@ struct HistogramSnapshot {
   // containing bucket; the overflow bucket reports its lower bound.
   double quantile(double q) const;
 };
-
-}  // namespace swsim::obs
-
-#ifndef SWSIM_OBS_OFF
-
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
-namespace swsim::obs {
 
 namespace detail {
 extern std::atomic<bool> g_metrics_armed;
@@ -158,7 +147,6 @@ class MetricsRegistry {
   // dumps of the same state are byte-identical regardless of registration
   // order — `swsim bench diff` and plain `diff` rely on this.
   std::string json() const;
-  bool write_json(const std::string& path, std::string* error = nullptr) const;
 
  private:
   MetricsRegistry() = default;
@@ -197,86 +185,3 @@ class ScopedLatency {
 };
 
 }  // namespace swsim::obs
-
-#else  // SWSIM_OBS_OFF
-
-namespace swsim::obs {
-
-inline bool metrics_armed() { return false; }
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> = {}) {}
-  void observe(double) {}
-  using Snapshot = HistogramSnapshot;
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-  static std::vector<double> latency_seconds_bounds() { return {}; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global() {
-    static MetricsRegistry r;
-    return r;
-  }
-  static void arm() {}
-  static void disarm() {}
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&, std::vector<double> = {}) {
-    return histogram_;
-  }
-  void reset() {}
-  std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot()
-      const {
-    return {};
-  }
-  std::vector<std::pair<std::string, std::int64_t>> gauges_snapshot() const {
-    return {};
-  }
-  std::vector<std::pair<std::string, Histogram::Snapshot>>
-  histograms_snapshot() const {
-    return {};
-  }
-  std::string json() const {
-    return "{\"counters\":{},\"gauges\":{},\"histograms\":{}}";
-  }
-  bool write_json(const std::string&, std::string* error = nullptr) const {
-    if (error) *error = "observability compiled out (SWSIM_OBS_OFF)";
-    return false;
-  }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-class ScopedTimerUs {
- public:
-  explicit ScopedTimerUs(Counter&) {}
-};
-
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram&) {}
-};
-
-}  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

@@ -1,9 +1,6 @@
 // Umbrella header for the observability layer: tracing spans, metrics,
 // and the structured event log. See docs/OBSERVABILITY.md for the span
 // naming scheme, the metric catalog, and the disarmed-cost contract.
-//
-// Build with -DSWSIM_OBS_OFF (CMake: -DSWSIM_OBS_OFF=ON) to compile every
-// hook down to an inert stub.
 #pragma once
 
 #include "obs/clock.h"

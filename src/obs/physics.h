@@ -8,13 +8,13 @@
 //   * ConvergenceTracker — pure decision logic: has a port's envelope
 //     settled within tolerance for N consecutive windows? This is
 //     *unconditional* code (like serve's SloTracker): when `--early-stop`
-//     is armed its verdict changes how long a solve runs, so it can never
-//     be compiled out with the observability stubs.
+//     is armed its verdict changes how long a solve runs, so it never
+//     depends on metrics being armed.
 //   * PhysicsRegistry — a global accumulator of per-probe window stats,
 //     the energy series, and early-stop savings, read by
 //     RunProfile::collect() into the "physics" block. Updates are gated on
-//     obs::metrics_armed() internally, so the disarmed (and SWSIM_OBS_OFF)
-//     cost is one relaxed load and the profile reports zeros.
+//     obs::metrics_armed() internally, so the disarmed cost is one
+//     relaxed load and the profile reports zeros.
 //   * ProbeHub — a bounded fan-out of envelope frames to subscribers (the
 //     serve plane's `probe.subscribe`). Publishing with no subscribers is
 //     one relaxed load; a slow subscriber loses its *oldest* frames (with

@@ -8,10 +8,9 @@
 // actually was. The CLI writes one via `--profile-out <file>` on the
 // engine commands.
 //
-// Everything here runs at end-of-run (never on a hot path), so it is built
-// unconditionally — under SWSIM_OBS_OFF collect() simply reads the stub
-// registry and reports zeros, while the JSON round-trip keeps working for
-// the reader side.
+// Everything here runs at end-of-run (never on a hot path). With metrics
+// disarmed collect() reads a registry that recorded nothing and reports
+// zeros.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +51,9 @@ struct RunProfile {
   std::uint64_t jobs_retried = 0;
 
   // Physics telemetry (PhysicsRegistry snapshot): what the live lock-in
-  // probes saw during the solve. Empty/zero when no probe was armed — and
-  // always zero under SWSIM_OBS_OFF or with metrics disarmed. The block is
-  // *optional* on the reader side so documents from older builds parse.
+  // probes saw during the solve. Empty/zero when no probe was armed or
+  // with metrics disarmed. The block is *optional* on the reader side so
+  // documents from older builds parse.
   struct ProbePhysics {
     std::string name;
     std::uint64_t windows = 0;

@@ -1,5 +1,3 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/progress.h"
 
 #include <unistd.h>
@@ -157,5 +155,3 @@ void ProgressReporter::finish() {
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

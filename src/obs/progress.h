@@ -28,11 +28,8 @@
 // defaults to "on iff stderr is a TTY" — piped runs stay byte-clean.
 #pragma once
 
-#include <cstdint>
-
-#ifndef SWSIM_OBS_OFF
-
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 
 namespace swsim::obs {
@@ -95,28 +92,3 @@ class ProgressReporter {
 };
 
 }  // namespace swsim::obs
-
-#else  // SWSIM_OBS_OFF: inert stub, zero codegen at hook sites.
-
-namespace swsim::obs {
-
-class ProgressReporter {
- public:
-  static ProgressReporter& global() {
-    static ProgressReporter r;
-    return r;
-  }
-  void enable() {}
-  void disable() {}
-  bool enabled() const { return false; }
-  static bool stderr_is_tty() { return false; }
-  void suppress_output() {}
-  void add_jobs(std::uint64_t) {}
-  void job_done() {}
-  void on_llg_steps(std::uint64_t) {}
-  void finish() {}
-};
-
-}  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

@@ -1,5 +1,3 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/trace.h"
 
 #include <cstdio>
@@ -118,11 +116,6 @@ std::string TraceSession::chrome_json() {
   return w.end_object().take();
 }
 
-bool TraceSession::write_chrome_json(const std::string& path,
-                                     std::string* error) {
-  return write_json_file(path, chrome_json(), error);
-}
-
 void Span::begin(const char* name, const char* cat,
                  const std::string* args_json) {
   armed_ = true;
@@ -164,5 +157,3 @@ void set_thread_name(const std::string& name) {
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

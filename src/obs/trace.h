@@ -26,19 +26,13 @@
 //     process start, NOT comparable across processes. chrome_json()
 //     therefore exports otherData.wall_anchor_us (epoch µs at ts 0) so
 //     `swsim trace merge` can rebase multiple processes onto one clock.
-//
-// Compile-out: with SWSIM_OBS_OFF defined every entry point collapses to
-// an inert inline stub (see the #else half below).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-
-#ifndef SWSIM_OBS_OFF
-
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 namespace swsim::obs {
@@ -97,8 +91,6 @@ class TraceSession {
   // Includes otherData.wall_anchor_us: epoch microseconds corresponding
   // to trace timestamp 0, the rebasing key for `swsim trace merge`.
   std::string chrome_json();
-  // Writes chrome_json() to `path`; false (with *error set) on I/O failure.
-  bool write_chrome_json(const std::string& path, std::string* error = nullptr);
 
   // Drops all buffered events (thread buffers stay registered).
   void clear();
@@ -181,59 +173,6 @@ class ScopedFlow {
  private:
   std::uint64_t prev_;
 };
-
-}  // namespace swsim::obs
-
-#else  // SWSIM_OBS_OFF: inert stubs, zero codegen at hook sites.
-
-namespace swsim::obs {
-
-inline bool tracing() { return false; }
-
-class TraceSession {
- public:
-  static TraceSession& global() {
-    static TraceSession s;
-    return s;
-  }
-  void start() {}
-  void stop() {}
-  bool active() const { return false; }
-  std::size_t event_count() { return 0; }
-  std::string chrome_json() { return "{\"traceEvents\":[]}"; }
-  bool write_chrome_json(const std::string&, std::string* error = nullptr) {
-    if (error) *error = "observability compiled out (SWSIM_OBS_OFF)";
-    return false;
-  }
-  void clear() {}
-};
-
-class Span {
- public:
-  explicit Span(const char*, const char* = "swsim") {}
-  Span(const std::string&, const char* = "swsim") {}
-  Span(const std::string&, const char*, const std::string&) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-inline void record_complete(const std::string&, const char*, double) {}
-inline void record_flow(const std::string&, const char*, std::uint64_t, char) {}
-inline void set_thread_name(const std::string&) {}
-inline std::uint64_t current_flow_id() { return 0; }
-
-class ScopedFlow {
- public:
-  explicit ScopedFlow(std::uint64_t) {}
-  ScopedFlow(const ScopedFlow&) = delete;
-  ScopedFlow& operator=(const ScopedFlow&) = delete;
-};
-
-}  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF
-
-namespace swsim::obs {
 
 // FNV-1a over `s`: the deterministic trace-id → flow-id mapping both the
 // client and the server apply, so their flow events share an id without

@@ -42,7 +42,7 @@ std::vector<std::vector<std::string>> FailureReport::csv_rows() const {
       cause += " [" + f.status.context() + "]";
     }
     std::string when = obs::format_iso8601_us(f.t_us);
-    if (when.empty()) when = "-";
+    if (when.empty()) when = '-';
     rows.push_back({f.job, to_string(f.status.code()), cause,
                     std::to_string(f.attempts), f.quarantined ? "1" : "0",
                     std::move(when), std::to_string(f.t_us),

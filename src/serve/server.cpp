@@ -394,16 +394,19 @@ void Server::session_loop(std::size_t slot, int fd) {
       // carries a trace_id (the flow step links this span to the client's
       // and, downstream, to the dispatcher's and the solver jobs').
       const std::uint64_t flow = request.flow_id();
-      obs::Span span("serve.request " + request.client + " req " +
-                         std::to_string(request.id),
-                     "serve",
-                     request.trace_id.empty()
-                         ? std::string()
-                         : obs::JsonWriter()
-                               .begin_object()
-                               .field("trace_id", request.trace_id)
-                               .end_object()
-                               .take());
+      std::string span_name, span_args;
+      if (obs::tracing()) {
+        span_name = "serve.request " + request.client + " req " +
+                    std::to_string(request.id);
+        if (!request.trace_id.empty()) {
+          span_args = obs::JsonWriter()
+                          .begin_object()
+                          .field("trace_id", request.trace_id)
+                          .end_object()
+                          .take();
+        }
+      }
+      obs::Span span(span_name, "serve", span_args);
       if (flow != 0) obs::record_flow("serve.request", "serve", flow, 't');
       if (!parsed.is_ok()) {
         response.id = request.id;
@@ -548,7 +551,11 @@ Response Server::handle_workload(const Request& request,
   // fault plan's label matching (--inject "throw:<client>") are per-client.
   const std::string label =
       request.client + " req " + std::to_string(request.id);
-  obs::Span span("serve." + to_string(request.type) + " " + label, "serve");
+  std::string span_name;
+  if (obs::tracing()) {
+    span_name = "serve." + to_string(request.type) + " " + label;
+  }
+  obs::Span span(span_name, "serve");
   if (const std::uint64_t flow = obs::current_flow_id(); flow != 0) {
     obs::record_flow("serve.dispatch", "serve", flow, 't');
   }

@@ -194,7 +194,7 @@ class Server {
   std::ofstream log_out_;
 
   // Authoritative request counters (metrics mirror them; healthz reads
-  // these so it works in SWSIM_OBS_OFF builds too).
+  // these so it works with metrics disarmed too).
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> requests_failed_{0};
   std::atomic<std::uint64_t> rejected_overload_{0};
@@ -202,7 +202,8 @@ class Server {
   std::atomic<std::uint64_t> rejected_deadline_{0};
   std::atomic<std::uint64_t> sessions_timed_out_{0};
 
-  // Probe-stream accounting (healthz "probe" section; OBS_OFF-safe).
+  // Probe-stream accounting (healthz "probe" section; counted whether or
+  // not metrics are armed).
   std::atomic<std::uint64_t> probe_streams_{0};
   std::atomic<std::uint64_t> probe_frames_{0};
   std::atomic<std::uint64_t> probe_dropped_{0};

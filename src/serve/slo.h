@@ -16,10 +16,10 @@
 // retryable rollup clients key their backoff on).
 //
 // Deliberately NOT built on obs::MetricsRegistry: healthz must report SLO
-// state even under SWSIM_OBS_OFF or when metrics are disarmed, and the
-// fixed std::map layout makes the JSON snapshot byte-deterministic for a
-// given multiset of samples regardless of session interleaving (tenants
-// and kinds sort lexicographically; histogram counts are plain sums).
+// state when metrics are disarmed, and the fixed std::map layout makes the
+// JSON snapshot byte-deterministic for a given multiset of samples
+// regardless of session interleaving (tenants and kinds sort
+// lexicographically; histogram counts are plain sums).
 //
 // Tenant cardinality is bounded: after max_tenants distinct client names,
 // new names aggregate under "~other" so a client-name flood cannot grow

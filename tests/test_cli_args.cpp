@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/thread_pool.h"
+
 namespace swsim::cli {
 namespace {
 
@@ -167,6 +169,25 @@ TEST(Args, UnsignedIntegerRejectsNegativeCounts) {
   }
   EXPECT_EQ(a.unsigned_integer("trials", 0), 16u);
   EXPECT_EQ(a.unsigned_integer("missing", 9), 9u);  // fallback untouched
+}
+
+// Thread-count flags start as many threads as they are given, so one
+// ceiling bounds them. Parsed only: nothing here starts a thread.
+TEST(Args, ThreadCountRefusesMoreThanTheCeiling) {
+  ASSERT_EQ(engine::ThreadPool::kMaxThreads, 1024u);
+  EXPECT_EQ(parse({"batch", "--jobs", "1024"}).thread_count("jobs", 0), 1024u);
+  const Args a = parse({"batch", "--jobs", "1025", "--trials", "1025"});
+  try {
+    a.thread_count("jobs", 0);
+    FAIL() << "1025 threads accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("1025"), std::string::npos);
+  }
+  EXPECT_EQ(a.unsigned_integer("trials", 0), 1025u);  // not a thread count
+  EXPECT_EQ(a.thread_count("missing", 2), 2u);
+  EXPECT_THROW(parse({"batch", "--jobs", "-1"}).thread_count("jobs", 0),
+               std::invalid_argument);
 }
 
 TEST(Args, BooleanFlagLeavesTheNextWordPositional) {

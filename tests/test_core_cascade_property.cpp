@@ -35,7 +35,7 @@ RandomNetlist build_random(std::uint64_t seed, std::size_t n_primary,
   Pcg32 rng(seed);
 
   for (std::size_t i = 0; i < n_primary; ++i) {
-    net.circuit_signals.push_back(net.circuit.input("p" + std::to_string(i)));
+    net.circuit_signals.push_back(net.circuit.input('p' + std::to_string(i)));
     net.wave_signals.push_back(net.cascade.primary());
   }
   net.primaries = n_primary;

@@ -158,7 +158,7 @@ TEST_P(RippleAdderTest, AddsAllOperandPairs) {
   Circuit c;
   const RippleAdderSignals r = build_ripple_adder(c, bits);
   for (std::size_t i = 0; i < bits; ++i) {
-    c.mark_output(r.sum[i], "s" + std::to_string(i));
+    c.mark_output(r.sum[i], 's' + std::to_string(i));
   }
   c.mark_output(r.cout, "cout");
 

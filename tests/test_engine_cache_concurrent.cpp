@@ -127,7 +127,9 @@ TEST(ResultCacheConcurrent, TwoInstancesRaceOnOneSpillDirWithoutTornReads) {
   ResultCache verify(kKeys * 2, dir.string());
   for (std::uint64_t key = 1; key <= kKeys; ++key) {
     const auto hit = verify.lookup(key);
-    if (hit.has_value()) EXPECT_EQ(*hit, payload_for(key));
+    if (hit.has_value()) {
+      EXPECT_EQ(*hit, payload_for(key));
+    }
   }
   EXPECT_EQ(verify.stats().spill_corrupt, 0u);
   fs::remove_all(dir);

@@ -208,7 +208,7 @@ TEST(Scheduler, FailureCancelsDependentsAndThrows) {
   EXPECT_THROW(sched.run(), std::runtime_error);
   EXPECT_FALSE(downstream_ran.load());
   EXPECT_EQ(sched.job(bad).state, JobState::kFailed);
-  EXPECT_EQ(sched.job(bad).error, "boom");
+  EXPECT_EQ(sched.job(bad).status.message(), "boom");
   EXPECT_EQ(sched.job(dep).state, JobState::kCancelled);
   EXPECT_EQ(sched.job(dep2).state, JobState::kCancelled);
   EXPECT_EQ(sched.job(ok).state, JobState::kDone);

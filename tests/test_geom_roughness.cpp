@@ -44,8 +44,12 @@ TEST(Roughness, PerturbsOnlyNearBoundary) {
       const bool interior = m.at(x, y) &&
                             (y >= 8 && y <= 11);  // center of the guide
       const bool far_outside = y <= 2 || y >= 17;
-      if (interior) EXPECT_TRUE(rough.at(x, y)) << x << "," << y;
-      if (far_outside) EXPECT_FALSE(rough.at(x, y)) << x << "," << y;
+      if (interior) {
+        EXPECT_TRUE(rough.at(x, y)) << x << "," << y;
+      }
+      if (far_outside) {
+        EXPECT_FALSE(rough.at(x, y)) << x << "," << y;
+      }
     }
   }
 }

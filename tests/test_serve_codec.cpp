@@ -180,7 +180,9 @@ TEST(ServeCodec, PrefixSplitAtEveryByteBoundaryStillFrames) {
         static_cast<unsigned char>(n),
     };
     std::thread writer([&] {
-      if (split > 0) ASSERT_EQ(::send(sp.a, prefix, split, 0), (ssize_t)split);
+      if (split > 0) {
+        ASSERT_EQ(::send(sp.a, prefix, split, 0), (ssize_t)split);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       if (split < 4) {
         ASSERT_EQ(::send(sp.a, prefix + split, 4 - split,

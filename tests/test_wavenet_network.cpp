@@ -334,7 +334,7 @@ TEST_P(MajoritySuperposition, AmplitudeIsSignSum) {
   net.connect(j, d, 100.0);
   int sign_sum = 0;
   for (int i = 0; i < 3; ++i) {
-    const NodeId s = net.add_source("S" + std::to_string(i));
+    const NodeId s = net.add_source('S' + std::to_string(i));
     net.connect(s, j, 100.0);
     const bool one = (pattern >> i) & 1;
     net.excite_logic(s, one);
