@@ -10,6 +10,10 @@
 
 #include "mag/system.h"
 
+namespace swsim::obs {
+class Counter;
+}
+
 namespace swsim::mag {
 
 namespace kernels {
@@ -42,6 +46,14 @@ class FieldTerm {
   // path, so refusing is always safe. Implementations must produce a field
   // bit-identical to accumulate() (see docs/PERFORMANCE.md).
   virtual bool compile_kernel(const System& sys, kernels::TermOp& op) const;
+
+  // The "mag.term.<name>.us" counter that effective_field() times this
+  // term's accumulate() into while metrics are armed; looked up in the
+  // registry on first use, then held.
+  obs::Counter& time_us() const;
+
+ private:
+  mutable obs::Counter* time_us_ = nullptr;
 };
 
 }  // namespace swsim::mag

@@ -7,8 +7,6 @@
 #include "mag/kernels/runtime.h"
 #include "mag/zeeman_field.h"
 #include "math/constants.h"
-#include "obs/clock.h"
-#include "obs/metrics.h"
 
 namespace swsim::mag::kernels {
 
@@ -25,7 +23,6 @@ SolveContext::SolveContext(std::unique_ptr<KernelPlan> plan)
   k4_.assign_zero(n);
   k5_.assign_zero(n);
   k6_.assign_zero(n);
-  h_.assign_zero(n);
   eval_ops_.reserve(plan_->ops.size());
 }
 
@@ -71,7 +68,6 @@ void SolveContext::resolve_ops(double t) {
       case OpKind::kAntenna: {
         e.bit = antenna_bit;
         antenna_bit = static_cast<std::uint8_t>(antenna_bit << 1);
-        e.cells = &op.cells;
         e.gate = &op.gate;
         const double env = (*op.envelope)(t);
         if (env == 0.0) {
@@ -95,42 +91,10 @@ void SolveContext::resolve_ops(double t) {
 
 void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
   resolve_ops(t);
-  const std::size_t slots = plan_->slots();
-  const bool sampled = obs::metrics_armed() && !plan_->ops.empty() &&
-                       (eval_count_ % kSamplePeriod == 0);
-  ++eval_count_;
-
-  if (sampled || !plan_->fused_ok) {
-    // Per-term sweeps into the field buffer, each op timed for the
-    // "mag.term.<name>.us" attribution. Bit-exact with the fused sweep:
-    // identical per-cell accumulation order, just staged through memory.
-    h_.assign_zero(slots);
-    for (std::size_t o = 0; o < eval_ops_.size(); ++o) {
-      const double t0 = obs::now_us();
-      const EvalOp& op = eval_ops_[o];
-      if (op.kind == OpKind::kAntenna) {
-        // Region index list; ignores the slot range (pass it once, whole).
-        term_sweep(*plan_, state, op, h_, 0, slots);
-      } else {
-        pfor(slots, kSlotGrain, [&](std::size_t b, std::size_t e) {
-          term_sweep(*plan_, state, op, h_, b, e);
-        });
-      }
-      if (sampled) {
-        plan_->op_us[o]->add(
-            static_cast<std::uint64_t>(obs::now_us() - t0));
-      }
-    }
-    pfor(slots, kSlotGrain, [&](std::size_t b, std::size_t e) {
-      rhs_sweep(*plan_, state, h_, dmdt, b, e);
-    });
-    return;
-  }
-
-  // Fused path. The parallel domain is interior slots (run table order)
-  // followed by edge slots; chunk boundaries depend only on the plan, so
-  // any thread count slices the same work the same way, and every cell is
-  // written by exactly one chunk.
+  // The parallel domain is interior slots (run table order) followed by
+  // edge slots; chunk boundaries depend only on the plan, so any thread
+  // count slices the same work the same way, and every cell is written by
+  // exactly one chunk.
   const std::size_t interior = plan_->interior_total;
   const std::size_t domain = interior + plan_->edge_slots.size();
   pfor(domain, kSlotGrain, [&](std::size_t b, std::size_t e) {

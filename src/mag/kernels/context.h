@@ -1,16 +1,16 @@
 // Per-stepper solve context: a compiled KernelPlan plus every SoA scratch
-// buffer a stepper needs (state, stage buffers k1..k6, one field buffer
-// for the sampled per-term path), each indexed by slot and sized by the
-// active-cell count, not the grid. Owning the buffers here is itself a
-// win: the reference steppers allocate and zero up to seven grid-sized
-// VectorFields per step; the context allocates once per solve.
+// buffer a stepper needs (state, stage buffers k1..k6), each indexed by
+// slot and sized by the active-cell count, not the grid. Owning the
+// buffers here is itself a win: the reference steppers allocate and zero
+// up to seven grid-sized VectorFields per step; the context allocates
+// once per solve.
 //
 // The context is cached by Stepper and rebuilt when its plan goes stale
 // (different System, mutated per-cell fields, changed term set) — see
 // KernelPlan::matches.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -44,10 +44,8 @@ class SolveContext {
     scatter(m_, *plan_->active, m);
   }
 
-  // One effective-field + rhs evaluation of `state` at time t into dmdt.
-  // When metrics are armed, every kSamplePeriod-th evaluation runs the
-  // per-term sweeps under "mag.term.<name>.us" timers instead of the fused
-  // sweep — both are bit-exact, so sampling never perturbs the physics.
+  // One effective-field + rhs evaluation of `state` at time t into dmdt,
+  // every slot through the fused sweeps, armed or not.
   void eval(const SoaVec& state, double t, SoaVec& dmdt);
 
   // out = base + k * s over every slot (chunked when parallel).
@@ -71,7 +69,6 @@ class SolveContext {
   // Fixed chunk size — part of the determinism contract: boundaries
   // depend on the active-cell count, never on the job count.
   static constexpr std::size_t kSlotGrain = 1024;
-  static constexpr std::uint64_t kSamplePeriod = 16;  // per-term timing
 
  private:
   explicit SolveContext(std::unique_ptr<KernelPlan> plan);
@@ -84,8 +81,6 @@ class SolveContext {
 
   std::unique_ptr<KernelPlan> plan_;
   std::vector<EvalOp> eval_ops_;
-  SoaVec h_;                  // per-term path field buffer
-  std::uint64_t eval_count_ = 0;
 };
 
 }  // namespace swsim::mag::kernels

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "math/constants.h"
-#include "obs/metrics.h"
 
 namespace swsim::mag::kernels {
 
@@ -37,16 +36,18 @@ std::unique_ptr<KernelPlan> build_plan(
   // Lower the terms first: the common rejection (a thermal or Newell demag
   // term in the set) must cost O(terms), not O(cells).
   plan->ops.reserve(terms.size());
+  bool has_exchange = false;
   std::size_t antennas = 0;
   for (const auto& term : terms) {
     TermOp op;
     if (!term->compile_kernel(sys, op)) return nullptr;
-    op.name = term->name();
-    if (op.kind == OpKind::kExchange) plan->has_exchange = true;
+    if (op.kind == OpKind::kExchange) has_exchange = true;
     if (op.kind == OpKind::kAntenna) ++antennas;
     plan->term_sig.push_back(term.get());
     plan->ops.push_back(std::move(op));
   }
+  // A run's antenna coverage is one bit per antenna op.
+  if (antennas > 8) return nullptr;
 
   plan->sys = &sys;
   plan->revision = sys.revision();
@@ -83,94 +84,70 @@ std::unique_ptr<KernelPlan> build_plan(
     slot_of[active[s]] = static_cast<std::uint32_t>(s);
   }
 
-  if (plan->has_exchange) {
-    // Six neighbour slots per slot, reference traversal order
-    // -x,+x,-y,+y,-z,+z, for the edge/term-sweep paths. Absent or vacuum
-    // neighbours get the slot itself: (m[s] - m[s]) * w is an exact +0.0
-    // contribution, bit-identical to the reference skipping it.
-    plan->nb.resize(6 * slots);
-    for (std::size_t s = 0; s < slots; ++s) {
-      const auto xyz = g.unindex(active[s]);
-      const std::size_t x = xyz.x, y = xyz.y, z = xyz.z;
-      std::uint32_t* nbp = &plan->nb[6 * s];
-      for (int k = 0; k < 6; ++k) nbp[k] = static_cast<std::uint32_t>(s);
-      auto set = [&](int k, std::size_t j) {
-        if (mask[j]) nbp[k] = slot_of[j];
-      };
-      if (x > 0) set(0, g.index(x - 1, y, z));
-      if (x + 1 < nx) set(1, g.index(x + 1, y, z));
-      if (y > 0) set(2, g.index(x, y - 1, z));
-      if (y + 1 < ny) set(3, g.index(x, y + 1, z));
-      if (z > 0) set(4, g.index(x, y, z - 1));
-      if (z + 1 < nz) set(5, g.index(x, y, z + 1));
-    }
-  }
-
-  plan->fused_ok = antennas <= 8;
-
-  // Interior runs: per x-row, maximal spans of active cells whose
-  // existing-axis neighbours are all active (only the exchange op reaches
-  // off-cell, so without one every active cell qualifies). Requires x to
-  // be the fastest-varying axis: then a span is a slot range, and so is
-  // each of its ±y/±z neighbour spans, at a fixed offset from it. On any
-  // other layout everything stays on the (still exact) edge path.
-  const auto flat_step = [&](std::size_t x, std::size_t y, std::size_t z) {
-    return static_cast<std::ptrdiff_t>(g.index(x, y, z) - g.index(0, 0, 0));
+  // Slot offset from active cell i to its k-th neighbour (-x,+x,-y,+y,
+  // -z,+z): 0, the self term, when that neighbour is outside the grid or
+  // vacuum. The grid is x-fastest, so the flat strides are 1, nx, nx*ny.
+  const std::size_t sy = nx, sz = nx * ny;
+  const std::size_t dim[3] = {nx, ny, nz};
+  const std::size_t stride[3] = {1, sy, sz};
+  const auto nb_off = [&](std::size_t i, int k) -> std::ptrdiff_t {
+    const auto c = g.unindex(i);
+    const std::size_t pos[3] = {c.x, c.y, c.z};
+    const int a = k >> 1;
+    const bool up = (k & 1) != 0;
+    if (up ? pos[a] + 1 == dim[a] : pos[a] == 0) return 0;
+    const std::size_t j = up ? i + stride[a] : i - stride[a];
+    if (!mask[j]) return 0;
+    return static_cast<std::ptrdiff_t>(slot_of[j]) -
+           static_cast<std::ptrdiff_t>(slot_of[i]);
   };
+
+  // Interior runs: per x-row, maximal spans of active cells whose ±x
+  // neighbours are active and whose ±y/±z neighbours are active or outside
+  // the grid (only the exchange op reaches off-cell, so without one every
+  // active cell qualifies). A span is a slot range, and so is each of its
+  // ±y/±z neighbour spans, at a fixed offset from it.
   std::vector<std::uint8_t> covered(slots, 0);
-  if (plan->fused_ok && (nx == 1 || flat_step(1, 0, 0) == 1)) {
-    const std::ptrdiff_t sy = ny > 1 ? flat_step(0, 1, 0) : 0;
-    const std::ptrdiff_t sz = nz > 1 ? flat_step(0, 0, 1) : 0;
-    for (std::size_t z = 0; z < nz; ++z) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        std::size_t run_b = 0, run_len = 0;  // flat start, length
-        auto close = [&] {
-          if (run_len >= kMinRun) {
-            KernelPlan::Run run;
-            run.b = slot_of[run_b];
-            run.e = run.b + static_cast<std::uint32_t>(run_len);
-            // Only exchange reads the offsets, and only with exchange are
-            // a run's ±y/±z neighbours known to be active cells of the
-            // grid: without it, runs also lie on the border rows/layers.
-            if (plan->has_exchange) {
-              const std::ptrdiff_t b = run.b;
-              if (sy != 0) {
-                run.off[0] = slot_of[run_b - sy] - b;
-                run.off[1] = slot_of[run_b + sy] - b;
-              }
-              if (sz != 0) {
-                run.off[2] = slot_of[run_b - sz] - b;
-                run.off[3] = slot_of[run_b + sz] - b;
-              }
-            }
-            plan->runs.push_back(run);
-            std::fill(covered.begin() + run.b, covered.begin() + run.e, 1);
+  for (std::size_t z = 0; z < nz; ++z) {
+    for (std::size_t y = 0; y < ny; ++y) {
+      std::size_t run_b = 0, run_len = 0;  // flat start, length
+      auto close = [&] {
+        if (run_len >= kMinRun) {
+          KernelPlan::Run run;
+          run.b = slot_of[run_b];
+          run.e = run.b + static_cast<std::uint32_t>(run_len);
+          // Only exchange reads the offsets, and only with exchange are a
+          // run's in-grid ±y/±z neighbours known to be active.
+          if (has_exchange) {
+            for (int k = 2; k < 6; ++k) run.off[k - 2] = nb_off(run_b, k);
           }
-          run_len = 0;
-        };
-        for (std::size_t x = 0; x < nx; ++x) {
-          const std::size_t i = g.index(x, y, z);
-          bool ok = mask[i];
-          if (ok && plan->has_exchange) {
-            if (nx > 1) {
-              ok = x > 0 && x + 1 < nx && mask[i - 1] && mask[i + 1];
-            }
-            if (ok && ny > 1) {
-              ok = y > 0 && y + 1 < ny && mask[i - sy] && mask[i + sy];
-            }
-            if (ok && nz > 1) {
-              ok = z > 0 && z + 1 < nz && mask[i - sz] && mask[i + sz];
-            }
+          plan->runs.push_back(run);
+          std::fill(covered.begin() + run.b, covered.begin() + run.e, 1);
+        }
+        run_len = 0;
+      };
+      for (std::size_t x = 0; x < nx; ++x) {
+        const std::size_t i = g.index(x, y, z);
+        bool ok = mask[i];
+        if (ok && has_exchange) {
+          if (nx > 1) {
+            ok = x > 0 && x + 1 < nx && mask[i - 1] && mask[i + 1];
           }
-          if (ok) {
-            if (run_len == 0) run_b = i;
-            ++run_len;
-          } else {
-            close();
+          if (ok && ny > 1) {
+            ok = (y == 0 || mask[i - sy]) && (y + 1 == ny || mask[i + sy]);
+          }
+          if (ok && nz > 1) {
+            ok = (z == 0 || mask[i - sz]) && (z + 1 == nz || mask[i + sz]);
           }
         }
-        close();
+        if (ok) {
+          if (run_len == 0) run_b = i;
+          ++run_len;
+        } else {
+          close();
+        }
       }
+      close();
     }
   }
   plan->run_prefix.resize(plan->runs.size() + 1);
@@ -181,43 +158,32 @@ std::unique_ptr<KernelPlan> build_plan(
   }
   plan->interior_total = plan->run_prefix.back();
   plan->edge_slots.reserve(slots - plan->interior_total);
+  plan->edge_off.reserve(6 * (slots - plan->interior_total));
   for (std::size_t s = 0; s < slots; ++s) {
-    if (!covered[s]) plan->edge_slots.push_back(static_cast<std::uint32_t>(s));
+    if (covered[s]) continue;
+    plan->edge_slots.push_back(static_cast<std::uint32_t>(s));
+    for (int k = 0; k < 6; ++k) plan->edge_off.push_back(nb_off(active[s], k));
   }
 
-  // Antenna cell lists arrive as flat indices of region ∧ mask; the sweeps
-  // address slots.
+  // Antenna cell lists arrive as flat indices of region ∧ mask; the plan
+  // rewrites them to slots and sets each slot's gate and each run's bit.
+  std::uint8_t bit = 1;
   for (TermOp& op : plan->ops) {
     if (op.kind != OpKind::kAntenna) continue;
-    for (std::uint32_t& c : op.cells) c = slot_of[c];
-  }
-
-  if (plan->fused_ok && antennas > 0) {
-    plan->antenna_bits.assign(slots, 0);
-    std::uint8_t bit = 1;
-    for (TermOp& op : plan->ops) {
-      if (op.kind != OpKind::kAntenna) continue;
-      op.gate.assign(slots, 0.0);
-      for (const std::uint32_t s : op.cells) {
-        plan->antenna_bits[s] |= bit;
-        op.gate[s] = 1.0;
-      }
-      for (auto& run : plan->runs) {
-        for (std::size_t s = run.b; s < run.e; ++s) {
-          if (op.gate[s] != 0.0) {
-            run.antenna |= bit;
-            break;
-          }
+    op.gate.assign(slots, 0.0);
+    for (std::uint32_t& c : op.cells) {
+      c = slot_of[c];
+      op.gate[c] = 1.0;
+    }
+    for (auto& run : plan->runs) {
+      for (std::size_t s = run.b; s < run.e; ++s) {
+        if (op.gate[s] != 0.0) {
+          run.antenna |= bit;
+          break;
         }
       }
-      bit = static_cast<std::uint8_t>(bit << 1);
     }
-  }
-
-  plan->op_us.reserve(plan->ops.size());
-  for (const TermOp& op : plan->ops) {
-    plan->op_us.push_back(&obs::MetricsRegistry::global().counter(
-        "mag.term." + op.name + ".us"));
+    bit = static_cast<std::uint8_t>(bit << 1);
   }
 
   return plan;

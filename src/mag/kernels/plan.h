@@ -8,28 +8,27 @@
 //
 //   * per-slot alpha, the LLG prefactor -gamma mu0/(1+alpha^2), and the
 //     local Ms (for the thin-film demag op);
-//   * the exchange neighbour table for edge slots: six slot indices per
-//     slot in the reference path's -x,+x,-y,+y,-z,+z order, with the
-//     slot's own index for absent/vacuum neighbours (the self term
-//     contributes an exact +0.0, bit-identical to skipping the
-//     neighbour); weights are the three per-axis 1/d^2 constants, not
-//     per-neighbour loads;
-//   * the interior-run table: maximal slot ranges of one x-row whose
-//     every existing-axis neighbour is active. Inside a run the ±x
-//     neighbours sit at slot ±1, and the ±y/±z neighbours of the whole
-//     run are contiguous too, at four per-run slot offsets. Interior
-//     slots take the fused SIMD sweep (direct offset addressing, no
-//     tables); everything else is an "edge" slot on the scalar table
-//     path. Both paths execute the identical per-cell operation
-//     sequence, so the split is invisible in the output bytes;
-//   * the lowered TermOps in term order (antenna cell lists in slots),
-//     plus per-op metric counters for the sampled "mag.term.<name>.us"
-//     attribution;
-//   * per-slot antenna coverage bitmask (bit a = cell driven by the a-th
-//     antenna op) for the edge path, and per-run coverage bits so runs
-//     outside every antenna region skip the term entirely.
+//   * the interior-run table: maximal slot ranges of one x-row whose ±x
+//     neighbours are active and whose in-grid ±y/±z neighbours are too.
+//     Inside a run the ±x neighbours sit at slot ±1, and the ±y/±z
+//     neighbours of the whole run are contiguous too, at four per-run
+//     slot offsets (0 where that neighbour lies outside the grid). Runs
+//     take the SIMD blocks; every other slot is an "edge" slot, one cell
+//     at a time;
+//   * the edge table: six neighbour slot offsets per edge slot, in the
+//     reference path's -x,+x,-y,+y,-z,+z order. An absent or vacuum
+//     neighbour gets offset 0, the self term, which contributes an exact
+//     +0.0, bit-identical to skipping the neighbour. Weights are the three
+//     per-axis 1/d^2 constants, not per-neighbour loads. Runs and edge
+//     slots execute the one per-cell operation sequence (sweep.cpp's
+//     fused_block), so the split is invisible in the output bytes;
+//   * the lowered TermOps in term order, each antenna with a per-slot
+//     coverage gate, and per-run coverage bits (bit a = the a-th antenna
+//     op drives a cell of the run) so runs outside every antenna region
+//     skip the term entirely.
 //
-// build_plan returns nullptr when any term refuses to compile; the solver
+// build_plan returns nullptr when any term refuses to compile, or when
+// the set holds more than 8 antennas (one coverage bit each); the solver
 // then stays on the scalar reference path for this term set.
 #pragma once
 
@@ -41,10 +40,6 @@
 #include "mag/field_term.h"
 #include "mag/kernels/term_op.h"
 #include "mag/system.h"
-
-namespace swsim::obs {
-class Counter;
-}
 
 namespace swsim::mag::kernels {
 
@@ -65,18 +60,15 @@ struct KernelPlan {
   std::vector<double> llg_pref;        // per slot
   std::vector<double> ms;              // per slot
 
-  bool has_exchange = false;
-  std::vector<std::uint32_t> nb;       // 6 slots per slot (edge/term path)
   double inv_d2[3] = {0.0, 0.0, 0.0};  // per-axis 1/dx^2, 1/dy^2, 1/dz^2
   bool axis_used[3] = {false, false, false};  // grid dimension > 1
 
-  // Interior runs: [b, e) slot ranges of one x-row, every cell with all
-  // existing-axis neighbours active (without exchange, the only op that
-  // reaches off-cell, any active cell qualifies). `off` holds the slot
-  // offsets of the -y, +y, -z, +z neighbours (the same for every slot of
-  // the run; 0 on an unused axis and without exchange). `antenna` has
-  // bit a set when the a-th antenna op drives at least one cell of the
-  // run.
+  // Interior runs: [b, e) slot ranges of one x-row (without exchange, the
+  // only op that reaches off-cell, any active cell qualifies). `off` holds
+  // the slot offsets of the -y, +y, -z, +z neighbours (the same for every
+  // slot of the run; 0 on an unused axis, outside the grid, and without
+  // exchange). `antenna` has bit a set when the a-th antenna op drives at
+  // least one cell of the run.
   struct Run {
     std::uint32_t b = 0;
     std::uint32_t e = 0;
@@ -86,16 +78,10 @@ struct KernelPlan {
   std::vector<Run> runs;
   std::vector<std::uint64_t> run_prefix;  // runs.size()+1 cumulative lengths
   std::size_t interior_total = 0;         // slots covered by runs
-  std::vector<std::uint32_t> edge_slots;  // slots not in any run
+  std::vector<std::uint32_t> edge_slots;  // slots not in any run, ascending
+  std::vector<std::ptrdiff_t> edge_off;   // 6 offsets per edge slot
 
-  std::vector<TermOp> ops;             // term order
-  std::vector<obs::Counter*> op_us;    // "mag.term.<name>.us", per op
-
-  // Fused-sweep antenna coverage; valid iff fused_ok (at most 8 antennas,
-  // one bit each). With more antennas the context falls back to per-term
-  // kernel sweeps, which are still bit-exact and index-list driven.
-  std::vector<std::uint8_t> antenna_bits;
-  bool fused_ok = false;
+  std::vector<TermOp> ops;  // term order
 
   bool matches(const System& sys,
                const std::vector<std::unique_ptr<FieldTerm>>& terms) const;

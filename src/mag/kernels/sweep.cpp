@@ -154,16 +154,19 @@ inline void llg_lanes(V mx, V my, V mz, V hx, V hy, V hz, V alpha, V pref,
   oz = (cz + tz * alpha) * pref;
 }
 
-// One interior block of V::kWidth cells starting at slot i: accumulate
-// every op in term order, then the rhs. Interior cells have every
-// existing-axis neighbour in bounds and active, so exchange reads m at
-// i + nbo[k], the run's slot offsets in -x,+x,-y,+y,-z,+z order.
+// The one per-cell op sequence of the kernel layer: for the V::kWidth
+// cells starting at slot i, accumulate every op in term order, then the
+// rhs. Exchange reads m at i + nbo[k], the slot offsets of the
+// -x,+x,-y,+y,-z,+z neighbours; an absent or vacuum neighbour has offset
+// 0, whose (m[i] - m[i]) * w is an exact +0.0, bit-identical to the
+// reference skipping it. An antenna op runs where its bit is set in
+// `antenna` and then adds its drive where the gate is 1.0.
 template <class V>
 inline void fused_block(const KernelPlan& p, const double* __restrict mx,
                         const double* __restrict my,
                         const double* __restrict mz, const EvalOp* ops,
                         std::size_t nops, const std::ptrdiff_t* nbo,
-                        std::uint8_t run_antenna, double* __restrict ox,
+                        std::uint8_t antenna, double* __restrict ox,
                         double* __restrict oy, double* __restrict oz,
                         std::size_t i) {
   const V mix = V::load(mx + i);
@@ -211,7 +214,7 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         hz = hz + V::set1(op.dz);
         break;
       case OpKind::kAntenna:
-        if (!op.skip && (run_antenna & op.bit)) {
+        if (!op.skip && (antenna & op.bit)) {
           const V g = V::load(op.gate->data() + i);
           hx = V::gated_add(hx, g, V::set1(op.dx));
           hy = V::gated_add(hy, g, V::set1(op.dy));
@@ -257,138 +260,18 @@ void fused_run(const KernelPlan& p, const SoaVec& m,
 void fused_edge(const KernelPlan& p, const SoaVec& m,
                 const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
                 std::size_t ee) {
-  const std::uint32_t* edge = p.edge_slots.data();
   const double* mx = m.x.data();
   const double* my = m.y.data();
   const double* mz = m.z.data();
+  double* ox = dmdt.x.data();
+  double* oy = dmdt.y.data();
+  double* oz = dmdt.z.data();
   const EvalOp* op0 = ops.data();
   const std::size_t nops = ops.size();
+  // Every antenna bit set: an edge slot's antenna ops go by the gate.
   for (std::size_t j = eb; j < ee; ++j) {
-    const std::size_t s = edge[j];
-    const double mix = mx[s], miy = my[s], miz = mz[s];
-    double hx = 0.0, hy = 0.0, hz = 0.0;
-    for (std::size_t o = 0; o < nops; ++o) {
-      const EvalOp& op = op0[o];
-      switch (op.kind) {
-        case OpKind::kExchange: {
-          const std::uint32_t* nbp = &p.nb[6 * s];
-          double lx = 0.0, ly = 0.0, lz = 0.0;
-          for (int k = 0; k < 6; ++k) {
-            const std::size_t j2 = nbp[k];
-            const double w = p.inv_d2[k >> 1];
-            lx += (mx[j2] - mix) * w;
-            ly += (my[j2] - miy) * w;
-            lz += (mz[j2] - miz) * w;
-          }
-          hx += lx * op.pref;
-          hy += ly * op.pref;
-          hz += lz * op.pref;
-          break;
-        }
-        case OpKind::kAnisotropy: {
-          const double d = mix * op.ax + miy * op.ay + miz * op.az;
-          const double sc = op.pref * d;
-          hx += op.ax * sc;
-          hy += op.ay * sc;
-          hz += op.az * sc;
-          break;
-        }
-        case OpKind::kThinFilmDemag:
-          hz -= p.ms[s] * miz;
-          break;
-        case OpKind::kUniformZeeman:
-          hx += op.dx;
-          hy += op.dy;
-          hz += op.dz;
-          break;
-        case OpKind::kAntenna:
-          if (!op.skip && (p.antenna_bits[s] & op.bit)) {
-            hx += op.dx;
-            hy += op.dy;
-            hz += op.dz;
-          }
-          break;
-      }
-    }
-    ScalarLane rx, ry, rz;
-    llg_lanes(ScalarLane{mix}, ScalarLane{miy}, ScalarLane{miz},
-              ScalarLane{hx}, ScalarLane{hy}, ScalarLane{hz},
-              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
-    dmdt.x[s] = rx.v;
-    dmdt.y[s] = ry.v;
-    dmdt.z[s] = rz.v;
-  }
-}
-
-void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
-                SoaVec& h, std::size_t sb, std::size_t se) {
-  const double* mx = m.x.data();
-  const double* my = m.y.data();
-  const double* mz = m.z.data();
-  double* hx = h.x.data();
-  double* hy = h.y.data();
-  double* hz = h.z.data();
-  switch (op.kind) {
-    case OpKind::kExchange:
-      for (std::size_t s = sb; s < se; ++s) {
-        const double mix = mx[s], miy = my[s], miz = mz[s];
-        const std::uint32_t* nbp = &p.nb[6 * s];
-        double lx = 0.0, ly = 0.0, lz = 0.0;
-        for (int k = 0; k < 6; ++k) {
-          const std::size_t j = nbp[k];
-          const double w = p.inv_d2[k >> 1];
-          lx += (mx[j] - mix) * w;
-          ly += (my[j] - miy) * w;
-          lz += (mz[j] - miz) * w;
-        }
-        hx[s] += lx * op.pref;
-        hy[s] += ly * op.pref;
-        hz[s] += lz * op.pref;
-      }
-      break;
-    case OpKind::kAnisotropy:
-      for (std::size_t s = sb; s < se; ++s) {
-        const double d = mx[s] * op.ax + my[s] * op.ay + mz[s] * op.az;
-        const double sc = op.pref * d;
-        hx[s] += op.ax * sc;
-        hy[s] += op.ay * sc;
-        hz[s] += op.az * sc;
-      }
-      break;
-    case OpKind::kThinFilmDemag:
-      for (std::size_t s = sb; s < se; ++s) hz[s] -= p.ms[s] * mz[s];
-      break;
-    case OpKind::kUniformZeeman:
-      for (std::size_t s = sb; s < se; ++s) {
-        hx[s] += op.dx;
-        hy[s] += op.dy;
-        hz[s] += op.dz;
-      }
-      break;
-    case OpKind::kAntenna:
-      // Region slot list, not the slot range: the drive's whole point is
-      // to touch only the cells the antenna powers.
-      if (!op.skip) {
-        for (const std::uint32_t s : *op.cells) {
-          hx[s] += op.dx;
-          hy[s] += op.dy;
-          hz[s] += op.dz;
-        }
-      }
-      break;
-  }
-}
-
-void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
-               SoaVec& dmdt, std::size_t sb, std::size_t se) {
-  for (std::size_t s = sb; s < se; ++s) {
-    ScalarLane rx, ry, rz;
-    llg_lanes(ScalarLane{m.x[s]}, ScalarLane{m.y[s]}, ScalarLane{m.z[s]},
-              ScalarLane{h.x[s]}, ScalarLane{h.y[s]}, ScalarLane{h.z[s]},
-              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
-    dmdt.x[s] = rx.v;
-    dmdt.y[s] = ry.v;
-    dmdt.z[s] = rz.v;
+    fused_block<ScalarLane>(p, mx, my, mz, op0, nops, &p.edge_off[6 * j],
+                            0xFF, ox, oy, oz, p.edge_slots[j]);
   }
 }
 

@@ -32,9 +32,8 @@ struct EvalOp {
   double ax = 0, ay = 0, az = 0;  // anisotropy axis
   double dx = 0, dy = 0, dz = 0;  // zeeman field or antenna drive at t
   bool skip = false;              // antenna with env(t) == 0
-  std::uint8_t bit = 0;           // antenna coverage bit in plan.antenna_bits
-  const std::vector<std::uint32_t>* cells = nullptr;  // antenna region list
-  const std::vector<double>* gate = nullptr;          // antenna 1.0/0.0 per slot
+  std::uint8_t bit = 0;           // antenna bit in KernelPlan::Run::antenna
+  const std::vector<double>* gate = nullptr;  // antenna 1.0/0.0 per slot
 };
 
 // out = base + k * s, slot range [b, e). Matches "base[i] + s_expr * k[i]"
@@ -89,23 +88,11 @@ void fused_run(const KernelPlan& p, const SoaVec& m,
                const std::vector<EvalOp>& ops, SoaVec& dmdt,
                const KernelPlan::Run& run, std::size_t sb, std::size_t se);
 
-// Scalar companion of fused_run for edge slots [eb, ee) (indices into
-// plan.edge_slots): same per-cell op order, exchange via the six-entry
-// neighbour table, antenna via the per-slot coverage bits.
+// The same per-cell block, one cell at a time, for edge slots [eb, ee)
+// (indices into plan.edge_slots): exchange reads each slot's six entries
+// of plan.edge_off, and every antenna op consults its gate.
 void fused_edge(const KernelPlan& p, const SoaVec& m,
                 const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
                 std::size_t ee);
-
-// Per-term path (sampled timing attribution): one op accumulated into the
-// SoA field buffer h over active slots [sb, se) (antenna ops iterate their
-// region list instead and ignore the slot range — callers pass the full
-// range exactly once).
-void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
-                SoaVec& h, std::size_t sb, std::size_t se);
-
-// LLG right-hand side from an accumulated field buffer, active slots
-// [sb, se) (companion of term_sweep; the fused sweeps fold this in).
-void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
-               SoaVec& dmdt, std::size_t sb, std::size_t se);
 
 }  // namespace swsim::mag::kernels

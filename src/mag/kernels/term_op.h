@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace swsim::mag {
@@ -35,7 +34,6 @@ enum class OpKind : std::uint8_t {
 
 struct TermOp {
   OpKind kind{};
-  std::string name;  // FieldTerm::name(), keys "mag.term.<name>.us"
 
   double pref = 0.0;              // exchange / anisotropy prefactor
   double ax = 0, ay = 0, az = 0;  // anisotropy axis or antenna direction
@@ -52,8 +50,8 @@ struct TermOp {
   // slots.
   std::vector<std::uint32_t> cells;
 
-  // Antenna only, filled by build_plan when the fused sweep is usable: a
-  // per-slot 1.0/0.0 coverage vector. The SIMD fused sweep turns the
+  // Antenna only, filled by build_plan: a per-slot 1.0/0.0 coverage
+  // vector. The SIMD fused sweep turns the
   // per-cell region branch into a lane select against this array, which
   // keeps whole-vector blocks branchless while leaving undriven lanes'
   // field bits untouched.

@@ -8,7 +8,6 @@
 #include "mag/kernels/context.h"
 #include "mag/kernels/runtime.h"
 #include "math/constants.h"
-#include "obs/clock.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "robust/fault_injection.h"
@@ -53,12 +52,9 @@ void effective_field(const System& sys,
   }
   // Armed path: attribute field-assembly time per term ("mag.term.<name>.us"
   // aggregates demag vs exchange vs antenna cost across the whole run).
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& term : terms) {
-    const double t0 = obs::now_us();
+    obs::ScopedTimerUs timer(term->time_us());
     term->accumulate(sys, m, t, h);
-    reg.counter("mag.term." + term->name() + ".us")
-        .add(static_cast<std::uint64_t>(obs::now_us() - t0));
   }
 }
 

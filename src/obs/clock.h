@@ -13,6 +13,7 @@
 // "2026-08-06T12:34:56.789012Z" (UTC) for human-facing CSV/JSONL fields.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -20,6 +21,16 @@ namespace swsim::obs {
 
 // Monotonic microseconds since the first call in this process.
 double now_us();
+
+// Whole microseconds between two now_us() readings, for "*.us" counters:
+// the microsecond boundaries crossed, floor(end) - floor(start). For a
+// start phase uniform within its microsecond this is unbiased, where
+// truncating end - start drops the fraction (0.5 us low on average, and
+// every sub-microsecond span reads 0).
+inline std::uint64_t elapsed_us(double start_us, double end_us) {
+  return static_cast<std::uint64_t>(std::floor(end_us) -
+                                    std::floor(start_us));
+}
 
 // Wall-clock microseconds since the Unix epoch.
 std::uint64_t wall_now_us();

@@ -196,7 +196,7 @@ ScopedTimerUs::ScopedTimerUs(Counter& us_counter) {
 
 ScopedTimerUs::~ScopedTimerUs() {
   if (!c_) return;
-  c_->add(static_cast<std::uint64_t>(now_us() - t0_us_));
+  c_->add(elapsed_us(t0_us_, now_us()));
 }
 
 ScopedLatency::ScopedLatency(Histogram& h) {

@@ -71,8 +71,10 @@ class SloTracker {
     std::uint64_t count = 0;
     std::uint64_t sum_us = 0;
     std::uint64_t max_us = 0;
-    // Conservative bucket-upper-bound quantile (the same convention
-    // `swsim stats` applies to obs histograms).
+    // Conservative bucket-upper-bound quantile: the upper bound of the
+    // bucket holding the ceil(q * count)-th sample, or max_us in the
+    // overflow bucket. (`swsim stats` interpolates inside the bucket
+    // instead, HistogramSnapshot::quantile.)
     double quantile(double q) const;
   };
 

@@ -1,5 +1,6 @@
 // Metrics: bucket boundary ("le") semantics, quantile interpolation,
-// armed/disarmed gating, registry identity, and the JSON export shape.
+// armed/disarmed gating, registry identity, the JSON export shape, and
+// the whole-microsecond count the "*.us" timers add.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -8,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/clock.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -215,6 +217,30 @@ TEST_F(MetricsTest, JsonDumpIsByteStableAndSorted) {
   ASSERT_NE(pos_a, std::string::npos);
   ASSERT_NE(pos_b, std::string::npos);
   EXPECT_LT(pos_a, pos_b);
+}
+
+TEST(ElapsedUs, CountsMicrosecondBoundariesCrossed) {
+  EXPECT_EQ(elapsed_us(10.0, 10.0), 0u);
+  EXPECT_EQ(elapsed_us(10.1, 10.9), 0u);
+  EXPECT_EQ(elapsed_us(10.9, 11.1), 1u);  // truncation would read 0
+  EXPECT_EQ(elapsed_us(10.0, 12.0), 2u);
+  EXPECT_EQ(elapsed_us(10.5, 12.25), 2u);
+  EXPECT_EQ(elapsed_us(1e9 + 0.75, 1e9 + 3.5), 3u);
+}
+
+TEST(ElapsedUs, IsUnbiasedOverAUniformStartPhase) {
+  // A span of d us, started at 1000 evenly spaced phases of a
+  // microsecond, must average d; truncating the difference averages
+  // floor(d) instead (0 for the sub-microsecond spans).
+  for (const double d : {0.3, 0.5, 1.25, 18.6}) {
+    const int n = 1000;
+    double sum = 0.0;
+    for (int k = 0; k < n; ++k) {
+      const double start = 5000.0 + (k + 0.5) / n;
+      sum += static_cast<double>(elapsed_us(start, start + d));
+    }
+    EXPECT_NEAR(sum / n, d, 2.0 / n) << "span " << d << " us";
+  }
 }
 
 }  // namespace
