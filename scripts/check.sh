@@ -9,7 +9,9 @@
 #      result cache.
 #   3. an Address+UBSan build of the robustness tests (fault injection,
 #      scheduler timeouts/retries, cache corruption) — the failure paths
-#      are exactly where lifetime bugs hide — of the JSON writer with the
+#      are exactly where lifetime bugs hide — of the engine's successful
+#      batches (a `prepare` batch, then row jobs that capture the caller's
+#      buffers by reference), of the JSON writer with the
 #      outputs built on it, of the CLI argument parser, of the serve
 #      daemon (its tunables file and endpoint checks cast parsed numbers),
 #      and of the LLG kernels (slot-indexed buffers: a wrong neighbour
@@ -101,6 +103,8 @@ if [[ "${SWSIM_CHECK_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== stage 3: ASan+UBSan skipped (SWSIM_CHECK_SKIP_ASAN=1) =="
 else
   ASAN_DIR="${BUILD_DIR}-asan"
+  # The engine's determinism suite runs the success path: a `prepare`
+  # batch, then row jobs writing into the caller's buffers by reference.
   # The JSON writer and its callers ride along: the writer escapes
   # client-supplied strings (tenant names, trace ids) into every output.
   # So do the parsers of outside input: the serve protocol, the CLI
@@ -109,7 +113,7 @@ else
   # only, so an off-by-one neighbour offset is an out-of-bounds read.
   ASAN_TESTS=(test_robust_status test_robust_watchdog test_robust_fault
               test_engine_resilience test_engine_pool test_engine_cache
-              test_obs_json test_serve_protocol test_obs_metrics
+              test_engine_determinism test_obs_json test_serve_protocol test_obs_metrics
               test_obs_trace test_obs_profile test_bench_harness
               test_cli_args test_serve_server
               test_mag_kernels test_mag_simulation)

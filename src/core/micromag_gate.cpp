@@ -258,7 +258,7 @@ MicromagEvaluation MicromagTriangleGate::run(const std::vector<bool>& inputs) {
   }
 
   sim.set_watchdog(config_.watchdog);
-  if (cancel_token_) sim.set_cancel_token(*cancel_token_);
+  sim.set_cancel_token(cancel_token_);
   const robust::Status solve = sim.run_guarded(duration_);
   if (!solve.is_ok()) {
     std::string in_bits;

@@ -82,7 +82,7 @@ struct MicromagGateConfig {
 // that normalizes amplitudes and anchors phase detection. Deterministic
 // for a given MicromagGateConfig, so it can be computed once and injected
 // into sibling gate instances (the engine's parallel truth-table path runs
-// one calibration job that every per-row evaluation job depends on).
+// one calibration job, and the per-row evaluation jobs only after it).
 struct MicromagCalibration {
   double ref_amplitude = 0.0;
   double ref_phase_o1 = 0.0;
@@ -171,7 +171,7 @@ class MicromagTriangleGate final : public FanoutGate {
   };
   std::vector<Tail> tails_;
 
-  std::optional<swsim::robust::CancelToken> cancel_token_;
+  swsim::robust::CancelToken cancel_token_;
   bool calibrated_ = false;
   double ref_amplitude_ = 0.0;
   double ref_phase_o1_ = 0.0;

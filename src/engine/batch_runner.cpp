@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,6 +16,10 @@
 namespace swsim::engine {
 
 namespace {
+
+// Failed jobs under one config key after which the key is quarantined:
+// later *_checked runs for it are refused without solving.
+constexpr std::size_t kQuarantineThreshold = 2;
 
 // Trials per yield job. Fixed (NOT derived from the thread count) so the
 // floating-point fold order — and therefore the reported statistics — is
@@ -241,84 +244,104 @@ TruthTableOutcome BatchRunner::run_truth_table_checked(
   }
 
   if (!missing.empty()) {
-    Scheduler scheduler(pool_);
     const JobOptions options = job_options(deadline_seconds);
-    std::vector<JobId> deps;
-    std::optional<JobId> prepare_id;
-    if (prepare) {
-      prepare_id =
-          scheduler.add(prefix + "prepare", std::move(prepare), options);
-      deps.push_back(*prepare_id);
-    }
-    std::vector<JobId> row_ids;
-    row_ids.reserve(missing.size());
-    for (const std::size_t i : missing) {
-      row_ids.push_back(scheduler.add(
-          prefix + "row " + std::to_string(i),
-          [this, &factory, &patterns, &rows, i,
-           config_key](const robust::CancelToken& token) {
-            auto gate = factory();
-            gate->set_cancel_token(token);
-            rows[i] = core::evaluate_row(*gate, patterns[i]);
-            if (config_.use_cache) {
-              cache_.insert(row_key(config_key, patterns[i]),
-                            encode_outputs(rows[i].outputs));
-            }
-          },
-          options, deps));
-    }
-    scheduler.run_all();
-
-    // Collect failures in row order (deterministic report) and mark the
-    // failed rows so the report keeps a slot for them.
+    // Failures in report order (prepare, then rows in row order), and the
+    // strikes they count against the config.
     std::vector<robust::JobFailure> failed;
     std::size_t strikes = 0;
-    if (prepare_id) {
-      const Job& j = scheduler.job(*prepare_id);
-      if (j.state != JobState::kDone) {
-        failed.push_back({j.label, j.status, j.attempts, false,
-                          j.failed_at_us, config_key, j.seconds});
-        strikes += job_struck_out(j) ? 1 : 0;
-      }
-    }
-    for (std::size_t k = 0; k < missing.size(); ++k) {
-      const Job& j = scheduler.job(row_ids[k]);
-      if (j.state == JobState::kDone) continue;
-      const std::size_t i = missing[k];
+    const auto row_label = [&](std::size_t i) {
+      return prefix + "row " + std::to_string(i);
+    };
+    const auto fail_row = [&](std::size_t i, const robust::Status& status) {
       rows[i] = core::ValidationRow{};
       rows[i].inputs = patterns[i];
       rows[i].expected = probe->reference(patterns[i]);
-      rows[i].status = j.status;
-      failed.push_back({j.label, j.status, j.attempts, false,
-                        j.failed_at_us, config_key, j.seconds});
+      rows[i].status = status;
+    };
+    const auto record = [&](const Job& j) {
+      failed.push_back({j.label, j.status, j.attempts, false, j.failed_at_us,
+                        config_key, j.seconds});
       strikes += job_struck_out(j) ? 1 : 0;
-    }
+    };
 
-    {
+    // `prepare` is a batch of its own: the rows start only once it is done.
+    bool prepared = true;
+    if (prepare) {
+      Scheduler scheduler(pool_);
+      scheduler.add(prefix + "prepare", std::move(prepare), options);
+      scheduler.run_all();
+      const Job& j = scheduler.job(0);
+      prepared = j.state == JobState::kDone;
+      if (!prepared) record(j);
       std::lock_guard<std::mutex> lock(stats_mutex_);
       absorb_scheduler_stats_locked(scheduler);
-      if (strikes > 0 && config_.quarantine_threshold > 0) {
-        std::size_t& tally = strikes_[config_key];
-        tally += strikes;
-        if (tally >= config_.quarantine_threshold &&
-            quarantine_.count(config_key) == 0) {
-          quarantine_.emplace(
-              config_key,
-              robust::Status::error(
-                  robust::StatusCode::kQuarantined,
-                  "config quarantined after " + std::to_string(tally) +
-                      " failed jobs",
-                  probe->name()));
-          for (robust::JobFailure& f : failed) f.quarantined = true;
-          obs::MetricsRegistry::global().counter("engine.quarantines").add();
-          auto& elog = obs::EventLog::global();
-          if (elog.enabled(obs::LogLevel::kWarn)) {
-            elog.event(obs::LogLevel::kWarn, "quarantine")
-                .str("gate", probe->name())
-                .hex("config_key", config_key)
-                .uint("strikes", tally)
-                .emit();
-          }
+    }
+
+    if (prepared) {
+      Scheduler scheduler(pool_);
+      for (const std::size_t i : missing) {
+        scheduler.add(
+            row_label(i),
+            [this, &factory, &patterns, &rows, i,
+             config_key](const robust::CancelToken& token) {
+              auto gate = factory();
+              gate->set_cancel_token(token);
+              rows[i] = core::evaluate_row(*gate, patterns[i]);
+              if (config_.use_cache) {
+                cache_.insert(row_key(config_key, patterns[i]),
+                              encode_outputs(rows[i].outputs));
+              }
+            },
+            options);
+      }
+      scheduler.run_all();
+      // Job k is row missing[k]; mark the failed rows so the report keeps a
+      // slot for them.
+      for (std::size_t k = 0; k < missing.size(); ++k) {
+        const Job& j = scheduler.job(k);
+        if (j.state == JobState::kDone) continue;
+        fail_row(missing[k], j.status);
+        record(j);
+      }
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      absorb_scheduler_stats_locked(scheduler);
+    } else {
+      // No row can run without its calibration: each is reported as
+      // cancelled, with no attempt made and no strike counted.
+      const std::uint64_t now_us = obs::wall_now_us();
+      for (const std::size_t i : missing) {
+        const std::string job = row_label(i);
+        const robust::Status status = robust::Status::error(
+            robust::StatusCode::kCancelled, "cancelled before running",
+            "job '" + job + "'");
+        fail_row(i, status);
+        failed.push_back({job, status, /*attempts=*/0, false, now_us,
+                          config_key, /*wall_seconds=*/0.0});
+      }
+    }
+
+    if (strikes > 0) {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      std::size_t& tally = strikes_[config_key];
+      tally += strikes;
+      if (tally >= kQuarantineThreshold &&
+          quarantine_.count(config_key) == 0) {
+        quarantine_.emplace(
+            config_key,
+            robust::Status::error(
+                robust::StatusCode::kQuarantined,
+                "config quarantined after " + std::to_string(tally) +
+                    " failed jobs",
+                probe->name()));
+        for (robust::JobFailure& f : failed) f.quarantined = true;
+        obs::MetricsRegistry::global().counter("engine.quarantines").add();
+        auto& elog = obs::EventLog::global();
+        if (elog.enabled(obs::LogLevel::kWarn)) {
+          elog.event(obs::LogLevel::kWarn, "quarantine")
+              .str("gate", probe->name())
+              .hex("config_key", config_key)
+              .uint("strikes", tally)
+              .emit();
         }
       }
     }
@@ -371,10 +394,8 @@ YieldOutcome BatchRunner::run_yield_checked(
 
   Scheduler scheduler(pool_);
   const JobOptions options = job_options(deadline_seconds);
-  std::vector<JobId> chunk_ids;
-  chunk_ids.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
-    chunk_ids.push_back(scheduler.add(
+    scheduler.add(
         prefix + "trials " + std::to_string(c * kYieldChunk),
         [&, c](const robust::CancelToken& token) {
           auto gate = factory();
@@ -404,7 +425,7 @@ YieldOutcome BatchRunner::run_yield_checked(
           }
           partials[c] = part;
         },
-        options));
+        options);
   }
   scheduler.run_all();
 
@@ -417,7 +438,7 @@ YieldOutcome BatchRunner::run_yield_checked(
   std::size_t completed = 0;
   double margin_acc = 0.0;
   for (std::size_t c = 0; c < chunks; ++c) {
-    const Job& j = scheduler.job(chunk_ids[c]);
+    const Job& j = scheduler.job(c);  // job c is chunk c
     const std::size_t begin = c * kYieldChunk;
     const std::size_t end = std::min(trials, begin + kYieldChunk);
     if (j.state == JobState::kDone) {

@@ -55,10 +55,6 @@ struct EngineConfig {
   double job_timeout_seconds = 0.0;   // 0 disables per-job deadlines
   std::size_t max_retries = 0;        // retry budget for retryable failures
   double retry_backoff_seconds = 0.0; // linear backoff between attempts
-  // After this many terminally-failed jobs under one config key, the key is
-  // quarantined: later *_checked runs for it are refused without solving.
-  // 0 disables quarantine.
-  std::size_t quarantine_threshold = 2;
 };
 
 struct EngineStats {
@@ -107,20 +103,22 @@ class BatchRunner {
 
   // Parallel, cached equivalent of core::validate_gate. `config_key` is
   // the content hash of the gate configuration (engine::hash_of).
-  // `prepare`, when set, runs once before any row job (rows depend on it)
-  // unless every row was served from cache — the hook for shared
-  // calibration of micromagnetic gates. Throws (robust::SolveError) on the
-  // first row failure; use the _checked variant for partial results.
+  // `prepare`, when set, runs once as a job of its own, and the row jobs
+  // start only after it succeeded; it is skipped when every row was served
+  // from cache. It is the hook for shared calibration of micromagnetic
+  // gates. Throws (robust::SolveError) on the first failure; use the
+  // _checked variant for partial results.
   core::ValidationReport run_truth_table(const GateFactory& factory,
                                          std::uint64_t config_key,
                                          std::function<void()> prepare = {});
 
   // Fault-tolerant variant: never throws on job failure. Healthy rows are
   // solved (and cached) as usual; failed rows are returned with a non-ok
-  // ValidationRow::status and an entry in the failure report. Jobs run
-  // under the EngineConfig resilience policy (timeout, retries); a config
-  // key that keeps failing is quarantined and refused outright on later
-  // calls. `label` prefixes job names in the failure report ("job 3 / row
+  // ValidationRow::status and an entry in the failure report; when
+  // `prepare` fails, every row it would have served is reported cancelled
+  // (0 attempts). Jobs run under the EngineConfig resilience policy
+  // (timeout, retries); a config key with two failed jobs is quarantined
+  // and refused outright on later calls. `label` prefixes job names in the failure report ("job 3 / row
   // 2") so batch front-ends can attribute failures. `deadline_seconds`, when
   // > 0, is the caller's remaining end-to-end budget: every job gets an
   // absolute not_after deadline, so rows nobody is waiting for any more are

@@ -1,16 +1,16 @@
-// The unit of work the scheduler tracks: a closure plus dependency edges,
-// a lifecycle state, and per-job accounting (run time, failure status).
+// The unit of work the scheduler tracks: a closure, a lifecycle state, and
+// per-job accounting (run time, failure status).
 //
 // Jobs are owned by a Scheduler; user code only sees JobId handles. A job
-// becomes kReady when every dependency has finished successfully, runs on
-// the thread pool, and ends kDone, kFailed (its closure threw), kTimedOut
-// (its deadline passed while running), or kCancelled (explicitly, or
-// because a dependency failed/was cancelled — cancellation is transitive
-// over the dependency DAG). Cancellation is cooperative: a job that is
-// already running is not preempted; it is handed a robust::CancelToken and
-// is expected to poll it. A timed-out job is terminal the moment the
-// deadline expires, but its closure keeps the worker until it observes the
-// token (or returns); its result is then discarded.
+// is queued (kReady) from the moment run_all() starts, runs on the thread
+// pool, and ends kDone, kFailed (its closure threw), kTimedOut (its
+// deadline passed while running, or before it started), or kCancelled (a
+// process-wide cancel request was pending when a worker picked it up).
+// Cancellation is cooperative: a job that is already running is not
+// preempted; it is handed a robust::CancelToken and is expected to poll
+// it. A timed-out job is terminal the moment the deadline expires, but its
+// closure keeps the worker until it observes the token (or returns); its
+// result is then discarded.
 #pragma once
 
 #include <chrono>
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "robust/cancel.h"
 #include "robust/status.h"
@@ -28,28 +27,17 @@ namespace swsim::engine {
 using JobId = std::size_t;
 
 enum class JobState {
-  kPending,    // waiting on dependencies
-  kReady,      // dependencies met, queued for execution
+  kReady,      // queued for execution
   kRunning,    // executing on a pool thread
   kBackoff,    // failed retryably; waiting (off the pool) until retry_at
   kDone,       // finished successfully
   kFailed,     // closure threw; `status` holds the cause
-  kTimedOut,   // deadline expired while running; result discarded
-  kCancelled,  // never ran (explicit cancel or upstream failure)
+  kTimedOut,   // deadline expired, queued or running (result discarded)
+  kCancelled,  // never ran: a process-wide cancel was pending at pickup
 };
 
-std::string to_string(JobState s);
-
-// True for states a job can no longer leave.
-bool is_terminal(JobState s);
-
-// Per-job resilience policy. Defaults reproduce the original scheduler:
-// no deadline, no retries.
+// Per-job resilience policy. Defaults: no deadline, no retries.
 struct JobOptions {
-  // User-declared so JobOptions is not an aggregate: keeps Scheduler::add's
-  // {deps...} brace lists from ever matching this parameter.
-  JobOptions() = default;
-
   // Wall-clock budget per attempt; 0 disables the deadline. Enforcement is
   // cooperative (see JobState::kTimedOut above).
   double timeout_seconds = 0.0;
@@ -86,9 +74,7 @@ struct Job {
   std::uint64_t flow_id = 0;
   std::function<void(const robust::CancelToken&)> fn;
   JobOptions options;
-  JobState state = JobState::kPending;
-  std::size_t remaining_deps = 0;
-  std::vector<JobId> dependents;
+  JobState state = JobState::kReady;
   double seconds = 0.0;       // wall time of fn(), summed over attempts
   std::size_t attempts = 0;   // executions started (1 = no retries)
   // Wall-clock stamp (epoch microseconds) of the moment the job became

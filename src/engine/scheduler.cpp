@@ -40,110 +40,51 @@ SchedulerMetrics& sched_metrics() {
   return *m;
 }
 
+// Ends `j` unsuccessfully. The failure stamp is taken once, here, and the
+// event-log line reuses it, so a FailureReport row and its JSONL line
+// carry the identical timestamp.
+void mark_failed(Job& j, JobState state, robust::Status status) {
+  j.state = state;
+  j.failed_at_us = obs::wall_now_us();
+  j.status = std::move(status);
+}
+
+std::string context(const Job& j) { return "job '" + j.label + "'"; }
+
 }  // namespace
 
-Scheduler::Scheduler(ThreadPool& pool)
-    : pool_(pool), first_status_(robust::Status::ok()) {}
+Scheduler::Scheduler(ThreadPool& pool) : pool_(pool) {}
 
 JobId Scheduler::add(std::string label,
                      std::function<void(const robust::CancelToken&)> fn,
-                     const JobOptions& options,
-                     const std::vector<JobId>& deps) {
+                     const JobOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (running_) {
-    throw std::logic_error("Scheduler::add: DAG is frozen once run() starts");
+    throw std::logic_error(
+        "Scheduler::add: the batch is frozen once run_all() starts");
   }
-  const JobId id = jobs_.size();
   Job job;
-  job.id = id;
+  job.id = jobs_.size();
   job.label = std::move(label);
   job.flow_id = obs::current_flow_id();
   job.fn = std::move(fn);
   job.options = options;
-  for (const JobId d : deps) {
-    if (d >= id) {
-      throw std::invalid_argument(
-          "Scheduler::add: dependency on a not-yet-added job");
-    }
-  }
   jobs_.push_back(std::move(job));
-  Job& j = jobs_.back();
-  for (const JobId d : deps) {
-    Job& dep = jobs_[d];
-    if (dep.state == JobState::kCancelled || dep.state == JobState::kFailed ||
-        dep.state == JobState::kTimedOut) {
-      // Depending on an already-dead job makes this job dead on arrival.
-      j.state = JobState::kCancelled;
-      return id;
-    }
-    if (dep.state != JobState::kDone) {
-      dep.dependents.push_back(id);
-      ++j.remaining_deps;
-    }
-  }
-  return id;
+  return jobs_.back().id;
 }
 
 JobId Scheduler::add(std::string label, std::function<void()> fn,
-                     const JobOptions& options,
-                     const std::vector<JobId>& deps) {
+                     const JobOptions& options) {
   return add(
       std::move(label),
       std::function<void(const robust::CancelToken&)>(
           [f = std::move(fn)](const robust::CancelToken&) { f(); }),
-      options, deps);
-}
-
-JobId Scheduler::add(std::string label, std::function<void()> fn,
-                     const std::vector<JobId>& deps) {
-  return add(std::move(label), std::move(fn), JobOptions{}, deps);
-}
-
-void Scheduler::cancel(JobId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cancel_locked(id);
-}
-
-void Scheduler::cancel_locked(JobId id) {
-  Job& j = jobs_[id];
-  // Running jobs finish on their own; terminal jobs are already settled.
-  if (j.state != JobState::kPending && j.state != JobState::kReady &&
-      j.state != JobState::kBackoff) {
-    return;
-  }
-  const bool was_released = j.state == JobState::kReady;
-  j.state = JobState::kCancelled;
-  j.failed_at_us = obs::wall_now_us();
-  j.status = robust::Status::error(robust::StatusCode::kCancelled,
-                                   "cancelled before running",
-                                   "job '" + j.label + "'");
-  sched_metrics().cancelled.add();
-  auto& elog = obs::EventLog::global();
-  if (elog.enabled(obs::LogLevel::kDebug)) {
-    elog.event(obs::LogLevel::kDebug, "job_cancelled", j.failed_at_us)
-        .str("job", j.label)
-        .emit();
-  }
-  if (running_) {
-    // A released job sits in the pool queue; execute() observes kCancelled,
-    // settles its outstanding_ count and cascades. An unreleased or
-    // backing-off job (not in the pool queue) settles here.
-    if (was_released) return;
-    settle_locked();
-  }
-  for (const JobId d : j.dependents) cancel_locked(d);
+      options);
 }
 
 void Scheduler::settle_locked() {
   obs::ProgressReporter::global().job_done();
   if (--outstanding_ == 0) done_cv_.notify_all();
-}
-
-void Scheduler::release_locked(JobId id) {
-  Job& j = jobs_[id];
-  if (j.state != JobState::kPending || j.remaining_deps != 0) return;
-  j.state = JobState::kReady;
-  pool_.submit([this, id] { execute(id); });
 }
 
 void Scheduler::execute(JobId id) {
@@ -154,36 +95,27 @@ void Scheduler::execute(JobId id) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     Job& j = jobs_[id];
-    if (j.state == JobState::kCancelled) {
-      // Was cancelled after release; settle it now.
-      settle_locked();
-      for (const JobId d : j.dependents) cancel_locked(d);
-      return;
-    }
     if (robust::process_cancel_requested()) {
       // Process-wide shutdown (^C / forced drain): skip work that has not
       // started instead of paying each job's setup just to observe the
       // token. Jobs already running abort at their next cooperative poll.
-      j.state = JobState::kCancelled;
-      j.failed_at_us = obs::wall_now_us();
-      j.status = robust::Status::error(robust::StatusCode::kCancelled,
-                                       "cancelled by shutdown request",
-                                       "job '" + j.label + "'");
+      mark_failed(j, JobState::kCancelled,
+                  robust::Status::error(robust::StatusCode::kCancelled,
+                                        "cancelled by shutdown request",
+                                        context(j)));
       sched_metrics().cancelled.add();
       settle_locked();
-      for (const JobId d : j.dependents) cancel_locked(d);
       return;
     }
     if (j.options.has_deadline() &&
         std::chrono::steady_clock::now() >= j.options.not_after) {
       // The request-level deadline expired while the job waited in the pool
       // queue: nobody is waiting for this answer, so refuse to compute it.
-      j.state = JobState::kTimedOut;
-      j.failed_at_us = obs::wall_now_us();
-      j.status = robust::Status::error(
-          robust::StatusCode::kDeadlineExceeded,
-          "request deadline expired before the job started",
-          "job '" + j.label + "'");
+      mark_failed(j, JobState::kTimedOut,
+                  robust::Status::error(
+                      robust::StatusCode::kDeadlineExceeded,
+                      "request deadline expired before the job started",
+                      context(j)));
       sched_metrics().timed_out.add();
       auto& elog = obs::EventLog::global();
       if (elog.enabled(obs::LogLevel::kWarn)) {
@@ -191,12 +123,7 @@ void Scheduler::execute(JobId id) {
             .str("job", j.label)
             .emit();
       }
-      if (first_error_.empty()) {
-        first_error_ = "job '" + j.label + "' failed: " + j.status.message();
-        first_status_ = j.status;
-      }
       settle_locked();
-      for (const JobId d : j.dependents) cancel_locked(d);
       return;
     }
     j.state = JobState::kRunning;
@@ -208,7 +135,7 @@ void Scheduler::execute(JobId id) {
     flow = j.flow_id;
     fn = j.fn;  // copy out: run without holding the lock
     if (j.options.timeout_seconds > 0.0 || j.options.has_deadline()) {
-      // Wake the run() waiter so it starts watching this deadline.
+      // Wake the run_all() waiter so it starts watching this deadline.
       done_cv_.notify_all();
     }
   }
@@ -238,20 +165,14 @@ void Scheduler::execute(JobId id) {
   Job& j = jobs_[id];
   j.seconds += seconds;
   if (j.state == JobState::kTimedOut) {
-    // The deadline expired while fn ran; the failure is already recorded
-    // and dependents cancelled. Discard the result and settle.
+    // The deadline expired while fn ran; the failure is already recorded.
+    // Discard the result and settle.
     settle_locked();
     return;
   }
   if (outcome.is_ok()) {
     j.state = JobState::kDone;
     sched_metrics().done.add();
-    for (const JobId d : j.dependents) {
-      if (jobs_[d].state == JobState::kPending &&
-          --jobs_[d].remaining_deps == 0) {
-        release_locked(d);
-      }
-    }
     settle_locked();
     return;
   }
@@ -262,7 +183,7 @@ void Scheduler::execute(JobId id) {
     // Budget left: re-queue this job after a linear backoff. outstanding_
     // is untouched — the job is still in flight. The backoff is served by
     // the run_all() timer loop, not by parking a pool worker: the job sits
-    // in kBackoff (off the pool) until retry_at, so other ready jobs keep
+    // in kBackoff (off the pool) until retry_at, so other queued jobs keep
     // the workers busy during a fault storm.
     const double backoff =
         j.options.backoff_seconds * static_cast<double>(j.attempts);
@@ -289,26 +210,17 @@ void Scheduler::execute(JobId id) {
     }
     return;
   }
-  j.state = JobState::kFailed;
-  j.failed_at_us = obs::wall_now_us();
-  j.status = outcome.with_context("job '" + j.label + "'");
+  mark_failed(j, JobState::kFailed, outcome.with_context(context(j)));
   sched_metrics().failed.add();
-  {
-    auto& elog = obs::EventLog::global();
-    if (elog.enabled(obs::LogLevel::kError)) {
-      elog.event(obs::LogLevel::kError, "job_failed", j.failed_at_us)
-          .str("job", j.label)
-          .str("code", robust::to_string(outcome.code()))
-          .str("message", outcome.message())
-          .uint("attempts", j.attempts)
-          .emit();
-    }
+  auto& elog = obs::EventLog::global();
+  if (elog.enabled(obs::LogLevel::kError)) {
+    elog.event(obs::LogLevel::kError, "job_failed", j.failed_at_us)
+        .str("job", j.label)
+        .str("code", robust::to_string(outcome.code()))
+        .str("message", outcome.message())
+        .uint("attempts", j.attempts)
+        .emit();
   }
-  if (first_error_.empty()) {
-    first_error_ = "job '" + j.label + "' failed: " + j.status.message();
-    first_status_ = j.status;
-  }
-  for (const JobId d : j.dependents) cancel_locked(d);
   settle_locked();
 }
 
@@ -346,19 +258,13 @@ void Scheduler::service_timers_locked() {
       if (j.options.has_deadline() && now >= j.options.not_after) {
         // The request deadline expired during the backoff sleep: the retry
         // would only be shed at pickup, so fail the job here. It is off the
-        // pool (not queued), so it settles like a cancelled backoff job.
-        j.state = JobState::kTimedOut;
-        j.failed_at_us = obs::wall_now_us();
-        j.status = robust::Status::error(
-            robust::StatusCode::kDeadlineExceeded,
-            "request deadline expired during retry backoff",
-            "job '" + j.label + "'");
+        // pool (not queued), so it settles right away.
+        mark_failed(j, JobState::kTimedOut,
+                    robust::Status::error(
+                        robust::StatusCode::kDeadlineExceeded,
+                        "request deadline expired during retry backoff",
+                        context(j)));
         sched_metrics().timed_out.add();
-        if (first_error_.empty()) {
-          first_error_ = "job '" + j.label + "' failed: " + j.status.message();
-          first_status_ = j.status;
-        }
-        for (const JobId d : j.dependents) cancel_locked(d);
         settle_locked();
       } else if (now >= j.retry_at) {
         j.state = JobState::kReady;
@@ -375,95 +281,74 @@ void Scheduler::service_timers_locked() {
     const bool deadline_over =
         j.options.has_deadline() && now >= j.options.not_after;
     if (!attempt_over && !deadline_over) continue;
-    j.state = JobState::kTimedOut;
-    j.failed_at_us = obs::wall_now_us();
     // The request deadline takes classification precedence: the caller
     // stopped waiting, which is retryable with a fresh budget (and never a
     // quarantine strike), unlike a per-attempt kTimeout.
-    j.status =
+    mark_failed(
+        j, JobState::kTimedOut,
         deadline_over
             ? robust::Status::error(robust::StatusCode::kDeadlineExceeded,
                                     "exceeded request deadline while running",
-                                    "job '" + j.label + "'")
+                                    context(j))
             : robust::Status::error(
                   robust::StatusCode::kTimeout,
                   "exceeded " + format_seconds(j.options.timeout_seconds) +
                       " s deadline",
-                  "job '" + j.label + "'");
+                  context(j)));
     sched_metrics().timed_out.add();
-    {
-      auto& elog = obs::EventLog::global();
-      if (elog.enabled(obs::LogLevel::kWarn)) {
-        elog.event(obs::LogLevel::kWarn, "job_timeout", j.failed_at_us)
-            .str("job", j.label)
-            .str("code", robust::to_string(j.status.code()))
-            .num("limit_s", j.options.timeout_seconds)
-            .num("elapsed_s", elapsed)
-            .emit();
-      }
+    auto& elog = obs::EventLog::global();
+    if (elog.enabled(obs::LogLevel::kWarn)) {
+      elog.event(obs::LogLevel::kWarn, "job_timeout", j.failed_at_us)
+          .str("job", j.label)
+          .str("code", robust::to_string(j.status.code()))
+          .num("limit_s", j.options.timeout_seconds)
+          .num("elapsed_s", elapsed)
+          .emit();
     }
     // Ask the closure to stop; it settles outstanding_ when it returns.
     j.token.request_cancel();
-    if (first_error_.empty()) {
-      first_error_ = "job '" + j.label + "' failed: " + j.status.message();
-      first_status_ = j.status;
-    }
-    for (const JobId d : j.dependents) cancel_locked(d);
   }
 }
 
-robust::Status Scheduler::run_all() {
+void Scheduler::run_all() {
   obs::Span span("scheduler.run", "engine");
   bool any_timer = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (running_) {
-      throw std::logic_error("Scheduler::run: already run");
+      throw std::logic_error("Scheduler::run_all: already run");
     }
     running_ = true;
-    // Jobs cancelled before run() (or dead on arrival) are terminal and
-    // never hit the pool; everything else is outstanding. A timer loop is
-    // needed if any job can time out or enter a timed retry backoff.
+    outstanding_ = jobs_.size();
+    if (outstanding_ == 0) return;
+    obs::ProgressReporter::global().add_jobs(outstanding_);
+    // A timer loop is needed if any job can time out or enter a timed
+    // retry backoff.
     for (const Job& j : jobs_) {
-      if (!is_terminal(j.state)) ++outstanding_;
       any_timer = any_timer || j.options.timeout_seconds > 0.0 ||
                   j.options.has_deadline() ||
                   (j.options.max_retries > 0 &&
                    j.options.backoff_seconds > 0.0);
-    }
-    if (outstanding_ == 0) return first_status_;
-    obs::ProgressReporter::global().add_jobs(outstanding_);
-    for (Job& j : jobs_) {
-      if (j.state == JobState::kPending && j.remaining_deps == 0) {
-        release_locked(j.id);
-      }
+      const JobId id = j.id;
+      pool_.submit([this, id] { execute(id); });
     }
   }
   std::unique_lock<std::mutex> lock(mutex_);
   if (!any_timer) {
     done_cv_.wait(lock, [&] { return outstanding_ == 0; });
-  } else {
-    // Timer loop: sleep until the earliest running deadline or backoff
-    // expiry (or until woken by a settle / a timed job starting / a job
-    // entering backoff), then expire overdue jobs and re-release any
-    // backoff job whose wait is over.
-    while (outstanding_ > 0) {
-      if (const auto next = next_timer_locked()) {
-        done_cv_.wait_until(lock, *next);
-        service_timers_locked();
-      } else {
-        done_cv_.wait(lock);
-      }
-    }
+    return;
   }
-  return first_status_;
-}
-
-void Scheduler::run() {
-  const robust::Status status = run_all();
-  if (!status.is_ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    throw std::runtime_error(first_error_);
+  // Timer loop: sleep until the earliest running deadline or backoff
+  // expiry (or until woken by a settle / a timed job starting / a job
+  // entering backoff), then expire overdue jobs and re-queue any backoff
+  // job whose wait is over.
+  while (outstanding_ > 0) {
+    if (const auto next = next_timer_locked()) {
+      done_cv_.wait_until(lock, *next);
+      service_timers_locked();
+    } else {
+      done_cv_.wait(lock);
+    }
   }
 }
 

@@ -1,42 +1,38 @@
-// Dependency-aware job scheduler on top of ThreadPool.
+// Batch job scheduler on top of ThreadPool.
 //
-// Usage: add() jobs (with optional dependency edges, forming a DAG), then
-// run() or run_all(). Ready jobs are released to the pool; when a job
-// finishes, its dependents' counters tick down and newly-ready jobs are
-// released. A failed job (closure threw) transitively cancels everything
-// downstream of it; run() then throws with the first failure's message,
-// after every job has reached a terminal state, while run_all() returns
-// the first failure's robust::Status instead — the entry point for
-// partial-batch callers that want every healthy job's result plus a
-// structured account of the rest.
+// Usage: add() independent jobs, then run_all() once. Every job is queued
+// on the pool in add order, and run_all() blocks until each one is
+// terminal; the caller then reads the per-job records (state, wall
+// seconds, status, attempts). A failed job costs only itself: every other
+// job of the batch still runs. Callers that need one step before the rest
+// (BatchRunner's shared `prepare`) run it as a batch of its own first.
 //
 // Resilience (per-job JobOptions):
 //  - timeout_seconds: while a job runs past its deadline it is marked
-//    kTimedOut, its dependents are cancelled, and its CancelToken is
-//    tripped; the closure keeps its worker until it observes the token
-//    (cooperative — no preemption), and its result is discarded.
+//    kTimedOut and its CancelToken is tripped; the closure keeps its
+//    worker until it observes the token (cooperative — no preemption),
+//    and its result is discarded.
 //  - max_retries / backoff_seconds: a closure that throws with a
 //    *retryable* status (robust::is_retryable — numerical divergence,
 //    cache corruption, internal errors; never timeouts) is re-executed
 //    after a linear backoff, up to the retry budget. The job waits out
-//    the backoff in kBackoff, re-released by run_all()'s timer loop —
-//    no pool worker is parked, so concurrent retries cannot starve
-//    ready jobs of workers.
+//    the backoff in kBackoff, re-queued by run_all()'s timer loop — no
+//    pool worker is parked, so concurrent retries cannot starve queued
+//    jobs of workers.
+//  - not_after: a job picked up after its absolute deadline is shed
+//    (kTimedOut, kDeadlineExceeded) without running.
 //
-// cancel() before/during run() prunes a job and its dependents; a job
-// already running is not preempted (cooperative cancellation).
-//
-// A Scheduler instance is single-shot: build the DAG, run it, then read
-// the per-job records (state, wall seconds, status, attempts).
+// A job picked up after a process-wide cancel request (robust/cancel.h)
+// ends kCancelled without running.
 #pragma once
 
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "engine/job.h"
 #include "engine/thread_pool.h"
-#include "robust/status.h"
 
 namespace swsim::engine {
 
@@ -44,42 +40,28 @@ class Scheduler {
  public:
   explicit Scheduler(ThreadPool& pool);
 
-  // Registers a job. `deps` must name already-added jobs (the DAG is built
-  // in topological order by construction). Must not be called after run().
-  // Token-aware closures receive the current attempt's CancelToken and
-  // should poll it during long solves.
+  // Registers a job and returns its id: ids count up from 0 in add order.
+  // Must not be called after run_all(). Token-aware closures receive the
+  // current attempt's CancelToken and should poll it during long solves.
   JobId add(std::string label,
             std::function<void(const robust::CancelToken&)> fn,
-            const JobOptions& options, const std::vector<JobId>& deps = {});
+            const JobOptions& options);
   JobId add(std::string label, std::function<void()> fn,
-            const JobOptions& options, const std::vector<JobId>& deps = {});
-  JobId add(std::string label, std::function<void()> fn,
-            const std::vector<JobId>& deps = {});
+            const JobOptions& options = {});
 
-  // Cancels a non-terminal, not-yet-running job and, transitively, its
-  // dependents. Safe to call before or during run().
-  void cancel(JobId id);
-
-  // Releases ready jobs and blocks until every job is terminal. Throws
-  // std::runtime_error naming the first failed job, if any.
-  void run();
-
-  // Like run() but never throws on job failure: returns ok when every job
-  // finished, else the first failure's status. Inspect job(id) afterwards
-  // for the per-job account.
-  robust::Status run_all();
+  // Queues every job and blocks until each one is terminal. Never throws
+  // on job failure: inspect job(id) afterwards for the per-job account.
+  void run_all();
 
   // Post-run inspection.
   std::size_t size() const;
   const Job& job(JobId id) const;
   std::size_t count(JobState s) const;
-  // Sum of wall seconds across jobs that ran (the "work" the DAG cost;
+  // Sum of wall seconds across jobs that ran (the "work" the batch cost;
   // compare against elapsed wall time for effective parallelism).
   double total_job_seconds() const;
 
  private:
-  void release_locked(JobId id);           // kPending -> kReady -> pool
-  void cancel_locked(JobId id);            // cascades over dependents
   void execute(JobId id);                  // runs on a pool thread
   void settle_locked();                    // one outstanding job became terminal
   // Earliest timer among running jobs' deadlines and backoff expiries.
@@ -94,8 +76,6 @@ class Scheduler {
   std::vector<Job> jobs_;
   std::size_t outstanding_ = 0;  // jobs not yet settled
   bool running_ = false;
-  std::string first_error_;
-  robust::Status first_status_;
 };
 
 }  // namespace swsim::engine

@@ -9,23 +9,14 @@
 
 namespace swsim::engine {
 
-namespace {
-// Which pool/worker the current thread belongs to, so submissions from a
-// worker go to its own deque (the LIFO fast path of work stealing).
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads)
     : m_submitted_(obs::MetricsRegistry::global().counter("pool.tasks.submitted")),
       m_executed_(obs::MetricsRegistry::global().counter("pool.tasks.executed")),
-      m_stolen_(obs::MetricsRegistry::global().counter("pool.tasks.stolen")),
       m_busy_us_(obs::MetricsRegistry::global().counter("pool.busy_us")),
       m_pending_(obs::MetricsRegistry::global().gauge("pool.pending")),
       m_threads_(obs::MetricsRegistry::global().gauge("pool.threads")) {
   if (threads == 0) threads = default_threads();
   m_threads_.set(static_cast<std::int64_t>(threads));
-  queues_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -49,14 +40,7 @@ std::size_t ThreadPool::default_threads() {
 void ThreadPool::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t target;
-    if (tl_pool == this) {
-      target = tl_worker;  // worker self-submission: own deque, LIFO end
-    } else {
-      target = next_queue_;
-      next_queue_ = (next_queue_ + 1) % queues_.size();
-    }
-    queues_[target].push_back(std::move(fn));
+    queue_.push_back(std::move(fn));
     ++pending_;
     m_submitted_.add();
     m_pending_.set(static_cast<std::int64_t>(pending_));
@@ -64,40 +48,17 @@ void ThreadPool::submit(std::function<void()> fn) {
   work_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop_locked(std::size_t self, std::function<void()>& out,
-                                bool& stole) {
-  stole = false;
-  if (!queues_[self].empty()) {
-    out = std::move(queues_[self].back());  // own work: LIFO
-    queues_[self].pop_back();
-    return true;
-  }
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    const std::size_t victim = (self + k) % queues_.size();
-    if (!queues_[victim].empty()) {
-      out = std::move(queues_[victim].front());  // steal: FIFO
-      queues_[victim].pop_front();
-      stole = true;
-      return true;
-    }
-  }
-  return false;
-}
-
 void ThreadPool::worker_loop(std::size_t self) {
-  tl_pool = this;
-  tl_worker = self;
   obs::set_thread_name("worker-" + std::to_string(self));
   for (;;) {
     std::function<void()> task;
-    bool stole = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock,
-                    [&] { return stop_ || try_pop_locked(self, task, stole); });
-      if (!task) return;  // stop_ and nothing poppable
+      work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      if (stop_) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (stole) m_stolen_.add();
     {
       obs::ScopedTimerUs busy(m_busy_us_);
       task();

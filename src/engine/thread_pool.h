@@ -1,14 +1,11 @@
-// Work-stealing thread pool.
+// Thread pool with one FIFO task queue.
 //
-// Each worker owns a deque: it pushes and pops its own work LIFO (hot in
-// cache) and steals FIFO from the front of a sibling's deque when its own
-// is empty, which takes the oldest — typically largest-remaining — work
-// item. External submissions are distributed round-robin across the
-// worker deques. All deques share one mutex: at the job granularity this
-// pool targets (a gate solve is micro- to multi-second work) lock traffic
-// is noise, and a single lock keeps the pool trivially
-// ThreadSanitizer-clean. The stealing *policy* — who runs what next — is
-// what matters for throughput here, not lock-free queue mechanics.
+// Workers take tasks in submission order from a single deque under one
+// mutex. At the job granularity this pool targets (a gate solve is micro-
+// to multi-second work) lock traffic is noise, and a single lock keeps the
+// pool trivially ThreadSanitizer-clean. A task submitted from a worker
+// queues behind everything already waiting; parallel_for's caller claims
+// chunks itself, so it never waits on a helper still in the queue.
 #pragma once
 
 #include <atomic>
@@ -37,8 +34,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues a task. Thread-safe; may be called from worker threads
-  // (a task submitted from a worker lands on that worker's own deque).
+  // Enqueues a task at the back of the queue. Thread-safe; may be called
+  // from worker threads.
   void submit(std::function<void()> fn);
 
   // Blocks until every submitted task has finished.
@@ -68,17 +65,12 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t self);
-  // Pops own back, else steals a sibling's front. Caller holds mutex_.
-  // `stole` reports whether the task came from a sibling's deque.
-  bool try_pop_locked(std::size_t self, std::function<void()>& out,
-                      bool& stole);
 
-  std::vector<std::deque<std::function<void()>>> queues_;
+  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   // queues gained work / stopping
+  std::condition_variable work_cv_;   // queue gained work / stopping
   std::condition_variable idle_cv_;   // a task finished
-  std::size_t next_queue_ = 0;        // round-robin cursor for submissions
   std::size_t pending_ = 0;           // queued + running tasks
   bool stop_ = false;
 
@@ -86,7 +78,6 @@ class ThreadPool {
   // is a no-op relaxed load unless metrics are armed).
   obs::Counter& m_submitted_;
   obs::Counter& m_executed_;
-  obs::Counter& m_stolen_;
   obs::Counter& m_busy_us_;
   obs::Gauge& m_pending_;
   obs::Gauge& m_threads_;

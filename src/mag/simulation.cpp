@@ -179,7 +179,7 @@ void Simulation::run(double duration) {
     if (probes_[i]->maybe_record(system_, m_, time_)) on_window_completed(i);
   }
   while (time_ < t_end - 1e-18) {
-    if (cancel_token_ && cancel_token_->cancelled()) {
+    if (cancel_token_.cancelled()) {
       throw robust::SolveError(robust::Status::error(
           robust::StatusCode::kCancelled,
           "cancelled at t = " + std::to_string(time_) + " s"));

@@ -63,7 +63,8 @@ class Simulation {
 
   // Installs a cooperative cancellation token: run()/run_guarded() poll it
   // every step and abort with StatusCode::kCancelled when it fires (the
-  // engine's per-job timeout path).
+  // engine's per-job timeout path). Without one, the solve polls a token
+  // of its own, which still reports a process-wide cancel request.
   void set_cancel_token(const robust::CancelToken& token);
 
   // Arms convergence tracking: every probe with an armed demodulator gets a
@@ -127,7 +128,7 @@ class Simulation {
   double time_ = 0.0;
   robust::WatchdogConfig watchdog_;
   robust::EnergyWatchdog energy_watchdog_;
-  std::optional<robust::CancelToken> cancel_token_;
+  robust::CancelToken cancel_token_;
   std::optional<obs::ConvergencePolicy> convergence_;
   bool early_stop_ = false;
   std::vector<obs::ConvergenceTracker> trackers_;  // parallel to probes_

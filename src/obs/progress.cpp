@@ -117,7 +117,7 @@ void ProgressReporter::render() {
     n += std::snprintf(line + n, sizeof line - n, " | %.3g llg steps/s",
                        steps_per_second_);
   }
-  // ETA from job completion when a DAG is running, else unknown.
+  // ETA from job completion while a batch is running, else unknown.
   if (total > 0 && done > 0 && done < total) {
     const double per_job_s = (now - t0_us_) * 1e-6 / static_cast<double>(done);
     const double eta_s = per_job_s * static_cast<double>(total - done);

@@ -1,7 +1,7 @@
 // Live run progress: a throttled, TTY-aware status line on stderr.
 //
 // The reporter is a process-global singleton fed from two places:
-//   * Scheduler::run_all() registers how many jobs a DAG releases
+//   * Scheduler::run_all() registers how many jobs a batch queues
 //     (add_jobs) and ticks one off as each settles (job_done);
 //   * Simulation::run() ticks once per LLG step (on_llg_steps).
 // When enabled it renders at most one line every ~250 ms, carriage-return-

@@ -80,10 +80,7 @@ std::string trim(const std::string& s) {
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      queue_(config_.queue_capacity == 0 ? 1 : config_.queue_capacity),
-      flight_(config_.flight_recorder_capacity == 0
-                  ? 256
-                  : config_.flight_recorder_capacity) {
+      queue_(config_.queue_capacity == 0 ? 1 : config_.queue_capacity) {
   if (config_.dispatchers == 0) config_.dispatchers = 1;
   if (config_.max_sessions == 0) config_.max_sessions = 1;
   tunables_.queue_capacity =

@@ -69,9 +69,6 @@ struct ServerConfig {
   // queue_capacity), re-read on SIGHUP — see ServeTunables.
   std::string tunables_file;
   std::string request_log;          // JSONL request log path (optional)
-  // Flight-recorder ring size (recent request lines kept in memory for
-  // SIGQUIT / crash postmortems); 0 keeps the default.
-  std::size_t flight_recorder_capacity = 256;
   // true: install SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that dump the
   // flight recorder to stderr before re-raising. The daemon turns this
   // on; in-process tests leave it off.

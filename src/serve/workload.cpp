@@ -107,9 +107,9 @@ std::optional<MicromagSpec> make_micromag_spec(const MicromagParams& p) {
 
   MicromagSpec spec;
   spec.config = cfg;
-  // One calibration job (the all-zero reference LLG run) feeds every
-  // per-row job through a dependency edge, so the reference solve happens
-  // once instead of once per row.
+  // One calibration job (the all-zero reference LLG run), run by the
+  // engine before any row job, feeds every row, so the reference solve
+  // happens once instead of once per row.
   auto calib = std::make_shared<std::optional<core::MicromagCalibration>>();
   spec.factory = [cfg, calib] {
     auto gate = std::make_unique<core::MicromagTriangleGate>(cfg);

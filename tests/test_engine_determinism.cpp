@@ -7,12 +7,16 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "core/micromag_gate.h"
 #include "core/triangle_gate.h"
 #include "core/validator.h"
 #include "core/variability.h"
 #include "engine/hash.h"
+#include "mag/kernels/runtime.h"
+#include "math/constants.h"
 #include "serve/workload.h"
 
 namespace swsim::engine {
@@ -110,6 +114,43 @@ TEST(EngineDeterminism, MicromagSerialColdAndWarmAreByteIdentical) {
   EXPECT_EQ(runner.stats().jobs_executed, after_cold.jobs_executed);
 }
 
+TEST(EngineDeterminism, SharedPoolCellJobsMatchSerialBytes) {
+  // With cell_jobs > 1 the runner's pool also serves the LLG kernels: each
+  // row's parallel_for queues a helper task from a worker while other rows
+  // wait in the same FIFO queue. The 4 nm MAJ3 has 1103 active cells, more
+  // than one SolveContext::kSlotGrain chunk, so every sweep really splits.
+  // A 0.2 ns solve (about 4 drive periods) keeps the test short, and the
+  // calibration is shared through `prepare`, as make_micromag_spec does.
+  struct RestoreCellJobs {
+    ~RestoreCellJobs() { mag::kernels::set_cell_jobs(1); }
+  } restore;
+  const auto spec = serve::make_micromag_spec(serve::MicromagParams{});
+  ASSERT_TRUE(spec.has_value());
+  core::MicromagGateConfig gate_cfg = spec->config;
+  gate_cfg.duration = math::ns(0.2);
+
+  const auto run = [&gate_cfg](std::size_t jobs, std::size_t cell_jobs) {
+    auto calib = std::make_shared<std::optional<core::MicromagCalibration>>();
+    const BatchRunner::GateFactory factory = [gate_cfg, calib] {
+      auto gate = std::make_unique<core::MicromagTriangleGate>(gate_cfg);
+      if (calib->has_value()) gate->set_calibration(**calib);
+      return gate;
+    };
+    const auto prepare = [gate_cfg, calib] {
+      core::MicromagTriangleGate gate(gate_cfg);
+      *calib = gate.calibrate();
+    };
+    EngineConfig cfg;
+    cfg.jobs = jobs;
+    cfg.cell_jobs = cell_jobs;
+    BatchRunner runner(cfg);
+    return core::format_report(
+        runner.run_truth_table(factory, hash_of(gate_cfg), prepare));
+  };
+  const std::string serial = run(1, 1);
+  EXPECT_EQ(run(2, 2), serial);
+}
+
 TEST(EngineDeterminism, NoCacheModeStillDeterministic) {
   EngineConfig cfg;
   cfg.jobs = 4;
@@ -139,9 +180,9 @@ TEST(EngineDeterminism, PrepareRunsBeforeEveryRowJob) {
   const auto report = runner.run_truth_table(
       factory, maj_key(), [prepared] { prepared->store(true); });
   EXPECT_TRUE(report.all_pass);
-  // The probe instance is constructed before the DAG runs and legitimately
-  // sees prepared == false; every row job runs after the prepare job, so
-  // exactly one "violation" (the probe) is expected.
+  // The probe instance is constructed before the prepare job runs and
+  // legitimately sees prepared == false; every row job runs after the
+  // prepare job, so exactly one "violation" (the probe) is expected.
   EXPECT_EQ(violations->load(), 1);
 }
 

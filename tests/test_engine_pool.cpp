@@ -1,8 +1,9 @@
-// ThreadPool and Scheduler: completion, work stealing under load,
-// dependency ordering, failure propagation and cancellation cascades.
+// ThreadPool and Scheduler: completion, FIFO order, uneven load, failure
+// isolation within a batch, and shedding after a process-wide cancel.
 // These are the tests scripts/check.sh also runs under ThreadSanitizer.
 #include "engine/scheduler.h"
 #include "engine/thread_pool.h"
+#include "robust/cancel.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstddef>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -50,9 +52,9 @@ TEST(ThreadPool, WaitIdleOnIdlePoolReturns) {
 }
 
 TEST(ThreadPool, UnevenTasksAreStolen) {
-  // Many slow tasks land round-robin on 4 deques; with stealing, total
-  // wall time approaches work/threads even though submission order is
-  // unbalanced in task cost.
+  // Slow and quick tasks interleaved on 4 workers: no task is bound to a
+  // worker, so an idle worker always takes the oldest queued task and a
+  // slow one never holds back the rest.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 16; ++i) {
@@ -154,30 +156,22 @@ TEST(Scheduler, RunsIndependentJobs) {
   for (int i = 0; i < 20; ++i) {
     sched.add("job", [&count] { ++count; });
   }
-  sched.run();
+  sched.run_all();
   EXPECT_EQ(count.load(), 20);
   EXPECT_EQ(sched.count(JobState::kDone), 20u);
 }
 
-TEST(Scheduler, DependencyOrdering) {
-  ThreadPool pool(4);
+TEST(Scheduler, StartsJobsInAddOrder) {
+  // One worker takes the queue front to back: jobs start in add order.
+  ThreadPool pool(1);
   Scheduler sched(pool);
-  std::mutex mu;
-  std::vector<int> order;
-  const auto record = [&](int id) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(id);
-  };
-  // Diamond: 0 -> {1, 2} -> 3.
-  const JobId a = sched.add("a", [&] { record(0); });
-  const JobId b = sched.add("b", [&] { record(1); }, {a});
-  const JobId c = sched.add("c", [&] { record(2); }, {a});
-  sched.add("d", [&] { record(3); }, {b, c});
-  sched.run();
-
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), 0);
-  EXPECT_EQ(order.back(), 3);
+  std::vector<JobId> order;  // written by the one worker only
+  for (int i = 0; i < 6; ++i) {
+    sched.add("job " + std::to_string(i),
+              [&order, i] { order.push_back(static_cast<JobId>(i)); });
+  }
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<JobId>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Scheduler, RecordsTimings) {
@@ -186,71 +180,58 @@ TEST(Scheduler, RecordsTimings) {
   const JobId a = sched.add("sleepy", [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   });
-  sched.run();
+  sched.run_all();
   EXPECT_GE(sched.job(a).seconds, 0.005);
   EXPECT_GE(sched.total_job_seconds(), 0.005);
   EXPECT_EQ(sched.job(a).state, JobState::kDone);
 }
 
-TEST(Scheduler, FailureCancelsDependentsAndThrows) {
+TEST(Scheduler, FailureIsRecordedAndOtherJobsRun) {
   ThreadPool pool(2);
   Scheduler sched(pool);
-  std::atomic<bool> downstream_ran{false};
+  std::atomic<int> ran{0};
   const JobId bad = sched.add("bad", [] {
     throw std::runtime_error("boom");
   });
-  const JobId dep =
-      sched.add("dep", [&] { downstream_ran = true; }, {bad});
-  const JobId dep2 =
-      sched.add("dep2", [&] { downstream_ran = true; }, {dep});
-  const JobId ok = sched.add("ok", [] {});
+  const JobId ok = sched.add("ok", [&] { ++ran; });
+  const JobId ok2 = sched.add("ok2", [&] { ++ran; });
 
-  EXPECT_THROW(sched.run(), std::runtime_error);
-  EXPECT_FALSE(downstream_ran.load());
+  sched.run_all();
+  EXPECT_EQ(ran.load(), 2);
   EXPECT_EQ(sched.job(bad).state, JobState::kFailed);
   EXPECT_EQ(sched.job(bad).status.message(), "boom");
-  EXPECT_EQ(sched.job(dep).state, JobState::kCancelled);
-  EXPECT_EQ(sched.job(dep2).state, JobState::kCancelled);
+  EXPECT_EQ(sched.job(bad).status.code(), robust::StatusCode::kInternal);
+  EXPECT_EQ(sched.job(bad).attempts, 1u);
   EXPECT_EQ(sched.job(ok).state, JobState::kDone);
+  EXPECT_EQ(sched.job(ok2).state, JobState::kDone);
 }
 
-TEST(Scheduler, CancelBeforeRunCascades) {
-  ThreadPool pool(2);
-  Scheduler sched(pool);
-  std::atomic<int> count{0};
-  const JobId a = sched.add("a", [&] { ++count; });
-  const JobId b = sched.add("b", [&] { ++count; }, {a});
-  const JobId c = sched.add("c", [&] { ++count; }, {b});
-  const JobId free_job = sched.add("free", [&] { ++count; });
-  sched.cancel(a);
-  sched.run();
-
-  EXPECT_EQ(count.load(), 1);  // only the free job ran
-  EXPECT_EQ(sched.job(a).state, JobState::kCancelled);
-  EXPECT_EQ(sched.job(b).state, JobState::kCancelled);
-  EXPECT_EQ(sched.job(c).state, JobState::kCancelled);
-  EXPECT_EQ(sched.job(free_job).state, JobState::kDone);
-}
-
-TEST(Scheduler, DependingOnDeadJobIsDeadOnArrival) {
-  ThreadPool pool(2);
-  Scheduler sched(pool);
-  std::atomic<bool> ran{false};
-  const JobId a = sched.add("a", [] {});
-  sched.cancel(a);
-  const JobId b = sched.add("b", [&] { ran = true; }, {a});
-  sched.run();
-  EXPECT_EQ(sched.job(b).state, JobState::kCancelled);
-  EXPECT_FALSE(ran.load());
-}
-
-TEST(Scheduler, RejectsUnknownDependencyAndDoubleRun) {
+TEST(Scheduler, ProcessCancelShedsJobsNotYetStarted) {
+  // A job a worker picks up after request_process_cancel() (the second
+  // SIGTERM's force-cancel) ends kCancelled without its closure running.
+  struct ResetProcessCancel {
+    ~ResetProcessCancel() { robust::reset_process_cancel(); }
+  } reset;
   ThreadPool pool(1);
   Scheduler sched(pool);
-  EXPECT_THROW(sched.add("x", [] {}, {42}), std::invalid_argument);
+  std::atomic<bool> ran{false};
+  const JobId id = sched.add("late", [&ran] { ran = true; });
+  robust::request_process_cancel();
+  sched.run_all();
+
+  EXPECT_FALSE(ran.load());
+  EXPECT_EQ(sched.job(id).state, JobState::kCancelled);
+  EXPECT_EQ(sched.job(id).status.code(), robust::StatusCode::kCancelled);
+  EXPECT_EQ(sched.job(id).status.message(), "cancelled by shutdown request");
+  EXPECT_EQ(sched.job(id).attempts, 0u);
+}
+
+TEST(Scheduler, RejectsSecondRunAndLateAdd) {
+  ThreadPool pool(1);
+  Scheduler sched(pool);
   sched.add("ok", [] {});
-  sched.run();
-  EXPECT_THROW(sched.run(), std::logic_error);
+  sched.run_all();
+  EXPECT_THROW(sched.run_all(), std::logic_error);
   EXPECT_THROW(sched.add("late", [] {}), std::logic_error);
 }
 

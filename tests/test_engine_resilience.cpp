@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,6 +78,49 @@ TEST(EngineResilience, ThrownJobYieldsPartialBatchWithReport) {
   EXPECT_EQ(f.status.code(), StatusCode::kInternal);
   EXPECT_NE(f.status.message().find("injected fault"), std::string::npos);
   EXPECT_EQ(runner.stats().jobs_failed, 1u);
+}
+
+TEST(EngineResilience, FailedPrepareCancelsEveryRowAndReportsIt) {
+  // The rows of a truth table run only after its `prepare` succeeded. When
+  // it throws, no row is attempted: each is reported cancelled, in row
+  // order after prepare's own failure.
+  ScopedFaultPlan plan;
+  plan->inject_throw_in_job("prepare");
+  std::atomic<int> built{0};
+  const BatchRunner::GateFactory factory = [&built, inner = maj_factory()] {
+    ++built;
+    return inner();
+  };
+
+  EngineConfig cfg;
+  cfg.jobs = 2;
+  BatchRunner runner(cfg);
+  const TruthTableOutcome outcome = runner.run_truth_table_checked(
+      factory, maj_key(), [] {}, "tenant req 1");
+
+  const auto& failures = outcome.failures.failures();
+  ASSERT_EQ(failures.size(), 9u);
+  EXPECT_EQ(failures[0].job, "tenant req 1 / prepare");
+  EXPECT_EQ(failures[0].status.code(), StatusCode::kInternal);
+  EXPECT_EQ(failures[0].attempts, 1u);
+  ASSERT_EQ(outcome.report.rows.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::string job = "tenant req 1 / row " + std::to_string(i);
+    const auto& f = failures[i + 1];
+    EXPECT_EQ(f.job, job);
+    EXPECT_EQ(f.status.code(), StatusCode::kCancelled) << job;
+    EXPECT_EQ(f.status.message(), "cancelled before running") << job;
+    EXPECT_EQ(f.status.context(), "job '" + job + "'");
+    EXPECT_EQ(f.attempts, 0u) << job;
+    EXPECT_FALSE(f.quarantined) << job;
+    const robust::Status& row = outcome.report.rows[i].status;
+    EXPECT_EQ(row.code(), f.status.code()) << job;
+    EXPECT_EQ(row.message(), f.status.message()) << job;
+    EXPECT_EQ(row.context(), f.status.context()) << job;
+  }
+  EXPECT_EQ(built.load(), 1);  // the probe instance only
+  EXPECT_EQ(runner.stats().jobs_failed, 1u);
+  EXPECT_EQ(runner.stats().jobs_executed, 0u);
 }
 
 TEST(EngineResilience, UncheckedEntryPointStillThrows) {
@@ -149,7 +193,6 @@ TEST(EngineResilience, RetryBudgetExhaustionIsTerminal) {
 
   EngineConfig cfg;
   cfg.max_retries = 1;  // 2 attempts < 3 armed faults
-  cfg.quarantine_threshold = 0;
   BatchRunner runner(cfg);
   const TruthTableOutcome outcome =
       runner.run_truth_table_checked(maj_factory(), maj_key());
@@ -162,10 +205,10 @@ TEST(EngineResilience, RetryBudgetExhaustionIsTerminal) {
 }
 
 TEST(EngineResilience, BackoffWaitsOffThePoolSoReadyJobsProceed) {
-  // One worker, one flaky job with a long backoff, and quick jobs that
-  // become ready during the wait. The backoff must be served by the
-  // run_all() timer loop, not by the worker sleeping in the pool queue —
-  // otherwise "late" (dependency-released) jobs stall behind the sleep.
+  // One worker, one flaky job with a long backoff, and quick jobs queued
+  // behind it. The backoff must be served by the run_all() timer loop, not
+  // by the worker sleeping in the pool queue — otherwise the queued jobs
+  // stall behind the sleep.
   ThreadPool pool(1);
   Scheduler sched(pool);
 
@@ -185,14 +228,13 @@ TEST(EngineResilience, BackoffWaitsOffThePoolSoReadyJobsProceed) {
         retry_started = std::chrono::steady_clock::now();
       },
       retry);
-  const JobId quick = sched.add("quick", [] {});
-  // Released only after "quick" finishes — i.e. queued behind any worker
-  // that a sleeping backoff would have parked.
+  sched.add("quick", [] {});
+  // Queued behind the flaky job's first attempt: a sleeping backoff would
+  // park the only worker before "late" could start.
   const JobId late = sched.add(
-      "late", [&] { late_done = std::chrono::steady_clock::now(); },
-      {quick});
+      "late", [&] { late_done = std::chrono::steady_clock::now(); });
 
-  EXPECT_TRUE(sched.run_all().is_ok());
+  sched.run_all();
   EXPECT_EQ(sched.job(flaky).state, JobState::kDone);
   EXPECT_EQ(sched.job(flaky).attempts, 2u);
   EXPECT_EQ(sched.job(late).state, JobState::kDone);
@@ -223,17 +265,32 @@ TEST(EngineResilience, TimedOutJobIsTerminalAndDependentsCancelled) {
         observed_cancel = token.cancelled();
       },
       timed);
-  const JobId dependent =
-      sched.add("downstream", [] {}, {slow});
 
-  const robust::Status status = sched.run_all();
-  EXPECT_EQ(status.code(), StatusCode::kTimeout);
+  sched.run_all();
   EXPECT_EQ(sched.job(slow).state, JobState::kTimedOut);
   EXPECT_EQ(sched.job(slow).status.code(), StatusCode::kTimeout);
   EXPECT_NE(sched.job(slow).status.message().find("deadline"),
             std::string::npos);
-  EXPECT_EQ(sched.job(dependent).state, JobState::kCancelled);
   EXPECT_TRUE(observed_cancel.load());  // the token really was tripped
+
+  // A truth table's rows depend on its `prepare`: when that times out,
+  // every row is cancelled without running.
+  ScopedFaultPlan plan;
+  plan->inject_stall_in_job("prepare", /*seconds=*/0.3);
+  EngineConfig cfg;
+  cfg.jobs = 2;
+  cfg.job_timeout_seconds = 0.1;
+  BatchRunner runner(cfg);
+  const TruthTableOutcome outcome =
+      runner.run_truth_table_checked(maj_factory(), maj_key(), [] {});
+  ASSERT_EQ(outcome.failures.size(), 9u);
+  EXPECT_EQ(outcome.failures.failures()[0].status.code(),
+            StatusCode::kTimeout);
+  for (const auto& row : outcome.report.rows) {
+    EXPECT_EQ(row.status.code(), StatusCode::kCancelled);
+  }
+  EXPECT_EQ(runner.stats().jobs_executed, 0u);
+  EXPECT_EQ(runner.stats().jobs_timed_out, 1u);
 }
 
 TEST(EngineResilience, ExpiredDeadlineShedsJobBeforeItRuns) {
@@ -247,17 +304,13 @@ TEST(EngineResilience, ExpiredDeadlineShedsJobBeforeItRuns) {
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   std::atomic<bool> ran{false};
   const JobId doomed = sched.add("doomed", [&ran] { ran = true; }, expired);
-  const JobId dependent = sched.add("downstream", [] {}, JobOptions{},
-                                    {doomed});
 
-  const robust::Status status = sched.run_all();
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  sched.run_all();
   EXPECT_FALSE(ran.load());
   EXPECT_EQ(sched.job(doomed).state, JobState::kTimedOut);
   EXPECT_EQ(sched.job(doomed).status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(sched.job(doomed).status.message().find("before the job"),
             std::string::npos);
-  EXPECT_EQ(sched.job(dependent).state, JobState::kCancelled);
 }
 
 TEST(EngineResilience, MidRunDeadlineTripsTheRunningJob) {
@@ -280,8 +333,7 @@ TEST(EngineResilience, MidRunDeadlineTripsTheRunningJob) {
       },
       opts);
 
-  const robust::Status status = sched.run_all();
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  sched.run_all();
   EXPECT_EQ(sched.job(slow).state, JobState::kTimedOut);
   EXPECT_EQ(sched.job(slow).status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(observed_cancel.load());
@@ -451,7 +503,6 @@ TEST(EngineResilience, PartialBatchIsDeterministicAcrossJobCounts) {
     EngineConfig cfg;
     cfg.jobs = jobs;
     cfg.use_cache = false;
-    cfg.quarantine_threshold = 0;
     BatchRunner runner(cfg);
     const auto outcome =
         runner.run_truth_table_checked(maj_factory(), maj_key());

@@ -169,6 +169,23 @@ TEST(RunGuarded, CancellationIsReturnedNotRetried) {
   EXPECT_DOUBLE_EQ(sim.time(), 0.0);
 }
 
+TEST(RunGuarded, ProcessCancelReachesASolveWithoutAToken) {
+  // A solve nobody handed a token (the engine's shared calibration, say)
+  // still stops on a process-wide cancel: the daemon's force-cancel on a
+  // second SIGTERM.
+  struct ResetProcessCancel {
+    ~ResetProcessCancel() { reset_process_cancel(); }
+  } reset;
+  mag::Simulation sim(small_system());
+  sim.add_standard_terms();
+  sim.set_stepper(mag::StepperKind::kRk4, ps(0.1));
+  request_process_cancel();
+
+  const Status s = sim.run_guarded(ps(5));
+  EXPECT_EQ(s.code(), StatusCode::kCancelled);
+  EXPECT_DOUBLE_EQ(sim.time(), 0.0);
+}
+
 TEST(RunGuarded, PlainRunThrowsWhereGuardedReturns) {
   ScopedFaultPlan plan;
   plan->inject_nan_at_step(8);
