@@ -61,12 +61,18 @@ int compare_files(const char* cmd, const std::string& base_path,
   if (base.env.git_sha != cur.env.git_sha ||
       base.env.compiler != cur.env.compiler ||
       base.env.build_type != cur.env.build_type ||
-      base.env.cores != cur.env.cores) {
+      base.env.cores != cur.env.cores ||
+      base.env.kernel_isa != cur.env.kernel_isa) {
+    const auto isa = [](const std::string& s) {
+      return s.empty() ? std::string("unrecorded") : s;
+    };
     std::cout << "note: environments differ (base " << base.env.git_sha
               << ", " << base.env.compiler << ", " << base.env.build_type
-              << ", " << base.env.cores << " cores; current "
-              << cur.env.git_sha << ", " << cur.env.compiler << ", "
-              << cur.env.build_type << ", " << cur.env.cores << " cores)\n";
+              << ", " << base.env.cores << " cores, kernel isa "
+              << isa(base.env.kernel_isa) << "; current " << cur.env.git_sha
+              << ", " << cur.env.compiler << ", " << cur.env.build_type
+              << ", " << cur.env.cores << " cores, kernel isa "
+              << isa(cur.env.kernel_isa) << ")\n";
   }
   if (base.quick != cur.quick) {
     std::cout << "note: comparing a --quick run against a full run\n";

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The repository's one-command CI gate:
 #   1. configure + build + full ctest suite (the tier-1 check of ROADMAP.md),
-#      then the magnetics suites re-run under SWSIM_KERNEL_REF=1 — the
-#      scalar reference oracle — so a fused-kernel bug cannot hide behind
-#      the identical-by-construction default path (docs/PERFORMANCE.md).
+#      an nm check that each lane-width variant object of the LLG kernels
+#      defines one global symbol and no weak ones, then the magnetics
+#      suites re-run under SWSIM_KERNEL_REF=1 — the scalar reference
+#      oracle — so a fused-kernel bug cannot hide behind the
+#      identical-by-construction default path (docs/PERFORMANCE.md).
 #   2. a ThreadSanitizer build of the parallel-evaluation engine tests,
 #      run directly, to catch data races in the thread pool / scheduler /
 #      result cache.
@@ -15,7 +17,8 @@
 #      outputs built on it, of the CLI argument parser, of the serve
 #      daemon (its tunables file and endpoint checks cast parsed numbers),
 #      and of the LLG kernels (slot-indexed buffers: a wrong neighbour
-#      offset reads past the end instead of into a vacuum cell).
+#      slot reads past the end instead of into a vacuum cell; the SSE2
+#      variant's neighbour reads are plain loads ASan instruments).
 #   4. an observability smoke run: a traced + metered batch over the fault
 #      example, then `swsim trace-check` / `swsim stats` validate the
 #      dumps the run produced — the trace JSON and metrics JSON must parse
@@ -67,6 +70,23 @@ cmake -B "${BUILD_DIR}" -S . -DSWSIM_WERROR=ON >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+# The AVX2 and AVX-512 objects are compiled for instruction sets the host
+# may lack. An inline function or template instance emitted there as a
+# weak symbol could be the copy the linker keeps for baseline callers,
+# so each variant object must define its entry point and nothing else
+# global (src/mag/kernels/fused_block.h).
+for obj in "${BUILD_DIR}"/src/mag/CMakeFiles/swsim_mag.dir/kernels/fused_*.cpp.o; do
+  syms="$(nm --defined-only "${obj}")"
+  globals="$(awk '$2 ~ /^[A-Z]$/' <<<"${syms}" | grep -c . || true)"
+  weak="$(awk '$2 ~ /^[VWvwu]$/' <<<"${syms}" | grep -c . || true)"
+  if [[ "${globals}" != 1 || "${weak}" != 0 ]]; then
+    echo "stage 1: ${obj} defines ${globals} global and ${weak} weak" \
+         "symbols (want 1 and 0):" >&2
+    nm --defined-only -C "${obj}" | awk '$2 !~ /^[a-z]$/' >&2
+    exit 1
+  fi
+done
+
 echo "== stage 1b: magnetics suites under the scalar reference oracle =="
 KREF_TESTS=(test_mag_kernels test_mag_llg test_mag_simulation
             test_integration_micromag)
@@ -110,7 +130,11 @@ else
   # So do the parsers of outside input: the serve protocol, the CLI
   # arguments and the daemon's tunables file. The LLG kernel suites run
   # here for their slot arithmetic: the solver buffers hold magnetic cells
-  # only, so an off-by-one neighbour offset is an out-of-bounds read.
+  # only, so a wrong neighbour slot is an out-of-bounds read. ASan does
+  # not see inside the AVX2/AVX-512 hardware gathers, so
+  # KernelBitExact.EveryLaneWidthMatchesSse2AndReference runs the SSE2
+  # variant here too, whose neighbour reads are plain loads, and
+  # KernelPlan.NeighbourTableMapsEverySlot bounds every table entry.
   ASAN_TESTS=(test_robust_status test_robust_watchdog test_robust_fault
               test_engine_resilience test_engine_pool test_engine_cache
               test_engine_determinism test_obs_json test_serve_protocol test_obs_metrics

@@ -14,6 +14,7 @@
 #include <unistd.h>
 #endif
 
+#include "mag/kernels/sweep.h"
 #include "obs/json.h"
 
 namespace swsim::bench {
@@ -76,6 +77,7 @@ EnvInfo current_env() {
 #ifdef SWSIM_BUILD_TYPE
   e.build_type = SWSIM_BUILD_TYPE;
 #endif
+  e.kernel_isa = mag::kernels::sweep_variant().name;
   e.cores = std::thread::hardware_concurrency();
 #if defined(_SC_NPROCESSORS_ONLN)
   if (e.cores == 0) {
@@ -171,6 +173,7 @@ std::string Harness::to_json() const {
       .field("flags", env.flags)
       .field("build_type", env.build_type)
       .field("cores", env.cores)
+      .field("kernel_isa", env.kernel_isa)
       .end_object()
       .key("cases")
       .begin_object();
@@ -230,6 +233,10 @@ BenchDoc parse_bench_json(const obs::JsonValue& root) {
     doc.env.flags = string_field(*env, "flags");
     doc.env.build_type = string_field(*env, "build_type");
     doc.env.cores = static_cast<unsigned>(number_field(*env, "cores"));
+    if (const obs::JsonValue* isa = env->find("kernel_isa");
+        isa && isa->is_string()) {
+      doc.env.kernel_isa = isa->str();
+    }
   } else {
     throw std::runtime_error("bench json: missing \"env\" object");
   }

@@ -23,8 +23,8 @@
 //   --out-dir DIR    where BENCH_<name>.json is written (default ".")
 //
 // The JSON also records an environment fingerprint (git SHA, compiler,
-// flags, build type, core count) so `swsim bench diff` can warn when two
-// runs are not comparable.
+// flags, build type, core count, the LLG kernels' lane variant) so
+// `swsim bench diff` can warn when two runs are not comparable.
 //
 // The second half of this header is the *reader*: parse_bench_json() and
 // compare_benches(), the noise-aware comparison shared by `swsim bench
@@ -72,6 +72,9 @@ struct EnvInfo {
   std::string flags;       // CMAKE_CXX_FLAGS_<BUILDTYPE>
   std::string build_type;  // "Release", ...
   unsigned cores = 0;
+  // The LLG kernels' lane variant this host runs ("sse2", "avx2",
+  // "avx512"); empty when read from a file written before it was recorded.
+  std::string kernel_isa;
 };
 
 EnvInfo current_env();

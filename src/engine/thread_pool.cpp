@@ -127,7 +127,16 @@ void ThreadPool::parallel_for(
     }
   };
 
-  const std::size_t helpers = std::min(chunks - 1, workers_.size());
+  // Helpers only for the workers idle now: in a pool saturated with
+  // batch jobs (the caller may be one of them) a helper would queue
+  // behind them and find every chunk claimed by the time it runs.
+  std::size_t helpers = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::size_t idle =
+        pending_ < workers_.size() ? workers_.size() - pending_ : 0;
+    helpers = std::min(chunks - 1, idle);
+  }
   for (std::size_t h = 0; h < helpers; ++h) submit(drain);
   drain();  // the caller claims chunks too — no idle wait, no deadlock
   std::unique_lock<std::mutex> lock(st->mu);

@@ -46,11 +46,13 @@ class ThreadPool {
   // done. The calling thread participates (it claims chunks like any
   // helper), so the call is deadlock-free when issued from a pool worker —
   // that is what lets batch-level jobs and intra-solve work share one
-  // pool. Chunk boundaries depend only on (n, grain), never on the thread
-  // count, so callers whose chunks write disjoint outputs (or that combine
-  // per-chunk partials in chunk order) get byte-identical results for any
-  // pool size. The first exception thrown by fn is rethrown here after all
-  // chunks finish.
+  // pool. Helper tasks are queued only for workers idle at the call, so a
+  // call from inside a saturated pool queues nothing and runs every chunk
+  // on the caller. Chunk boundaries depend only on (n, grain), never on
+  // the thread count, so callers whose chunks write disjoint outputs (or
+  // that combine per-chunk partials in chunk order) get byte-identical
+  // results for any pool size. The first exception thrown by fn is
+  // rethrown here after all chunks finish.
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

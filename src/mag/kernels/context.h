@@ -45,7 +45,7 @@ class SolveContext {
   }
 
   // One effective-field + rhs evaluation of `state` at time t into dmdt,
-  // every slot through the fused sweeps, armed or not.
+  // every slot through the host's fused sweep variant, armed or not.
   void eval(const SoaVec& state, double t, SoaVec& dmdt);
 
   // out = base + k * s over every slot (chunked when parallel).
@@ -76,8 +76,6 @@ class SolveContext {
   // Runs fn over [0, n) — serial, or chunked on the intra-solve pool.
   void pfor(std::size_t n, std::size_t grain,
             const std::function<void(std::size_t, std::size_t)>& fn);
-
-  void resolve_ops(double t);  // TermOps -> EvalOps at time t
 
   std::unique_ptr<KernelPlan> plan_;
   std::vector<EvalOp> eval_ops_;

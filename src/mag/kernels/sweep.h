@@ -8,15 +8,15 @@
 // the per-cell operation sequence exactly. See docs/PERFORMANCE.md for the
 // argument; tests/test_mag_kernels.cpp holds it to byte identity.
 //
-// Every buffer is indexed by slot (the plan's active-cell order). All
-// ranges are half-open: "slot" ranges index the buffers directly, "edge"
-// ranges index plan.edge_slots. Callers parallelize by chunking these
-// ranges with fixed grain — the loops only ever write slots inside their
-// own range, so any chunk schedule produces identical bytes.
+// Every buffer is indexed by slot (the plan's active-cell order), and all
+// slot ranges are half-open. Callers parallelize by chunking [0, slots)
+// with fixed grain — the loops only ever write slots inside their own
+// range, so any chunk schedule produces identical bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mag/kernels/plan.h"
@@ -32,9 +32,11 @@ struct EvalOp {
   double ax = 0, ay = 0, az = 0;  // anisotropy axis
   double dx = 0, dy = 0, dz = 0;  // zeeman field or antenna drive at t
   bool skip = false;              // antenna with env(t) == 0
-  std::uint8_t bit = 0;           // antenna bit in KernelPlan::Run::antenna
-  const std::vector<double>* gate = nullptr;  // antenna 1.0/0.0 per slot
+  const double* gate = nullptr;   // antenna 1.0/0.0 per slot
 };
+
+// Resolves the plan's ops at time t into `out` (cleared first).
+void resolve_ops(const KernelPlan& p, double t, std::vector<EvalOp>& out);
 
 // out = base + k * s, slot range [b, e). Matches "base[i] + s_expr * k[i]"
 // where the reference computed the double s first (s_expr collapses to s).
@@ -77,22 +79,47 @@ double err_max_range(double h, const double (&c)[5],
                      const SoaVec* const (&k)[5], std::size_t b,
                      std::size_t e);
 
-// Fused field + LLG-rhs sweep over slots [sb, se) of one interior run:
-// per cell, accumulate every op's field in term order into registers, then
-// apply the LLG right-hand side, writing dmdt at that slot only. Interior
-// slots address exchange neighbours at ±1 (x) and the run's ±y/±z slot
-// offsets directly and process SIMD-width blocks of cells at once. Ops
-// whose bit is clear in the run's antenna coverage are skipped for the
-// whole range (identical to the reference never touching those cells).
-void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt,
-               const KernelPlan::Run& run, std::size_t sb, std::size_t se);
+// One fused field + LLG-rhs evaluation as plain pointers: the state m,
+// its output dmdt (never the same buffer), the plan's tables and the
+// resolved ops. The variant objects see nothing but this.
+struct FusedSweep {
+  const double* mx;
+  const double* my;
+  const double* mz;
+  double* ox;
+  double* oy;
+  double* oz;
+  const std::uint32_t* nb;  // KernelPlan::nb, neighbour-major
+  std::size_t slots;        // its row length
+  const double* alpha;
+  const double* llg_pref;
+  const double* ms;
+  double inv_d2[3];
+  bool axis_used[3];
+  const EvalOp* ops;
+  std::size_t nops;
+};
 
-// The same per-cell block, one cell at a time, for edge slots [eb, ee)
-// (indices into plan.edge_slots): exchange reads each slot's six entries
-// of plan.edge_off, and every antenna op consults its gate.
-void fused_edge(const KernelPlan& p, const SoaVec& m,
-                const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
-                std::size_t ee);
+FusedSweep make_sweep(const KernelPlan& p, const SoaVec& m,
+                      const std::vector<EvalOp>& ops, SoaVec& dmdt);
+
+// One compiled lane width W of the fused sweep (2, 4 or 8 doubles).
+// fused(s, b, e) runs the one per-cell op sequence — every op in term
+// order, then the rhs — over slots [b, e), writing dmdt there only. A
+// range of at least W slots runs whole blocks only, the last one
+// overlapping back to e - W (dmdt is a pure function of m, so the overlap
+// rewrites the same bytes); a shorter range runs one cell at a time.
+struct SweepVariant {
+  const char* name;     // "sse2", "avx2", "avx512"
+  bool (*supported)();  // the host CPU runs it
+  void (*fused)(const FusedSweep& s, std::size_t b, std::size_t e);
+};
+
+// Every compiled variant, narrowest first. The first, SSE2, is the
+// x86-64 baseline and runs everywhere.
+std::span<const SweepVariant> sweep_variants();
+
+// The widest supported variant, chosen once per process.
+const SweepVariant& sweep_variant();
 
 }  // namespace swsim::mag::kernels

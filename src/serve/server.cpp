@@ -781,6 +781,7 @@ Response Server::make_builtin_response(const Request& request) {
                                 .field("flags", info.flags)
                                 .field("build_type", info.build_type)
                                 .field("cores", info.cores)
+                                .field("kernel_isa", info.kernel_isa)
                                 .field("endpoint", endpoint())
                                 .end_object()
                                 .take();

@@ -21,6 +21,7 @@ BuildInfo build_info() {
   info.flags = env.flags;
   info.build_type = env.build_type;
   info.cores = env.cores;
+  info.kernel_isa = env.kernel_isa;
   return info;
 }
 
@@ -32,7 +33,8 @@ std::string describe(const BuildInfo& info) {
      << "  flags       " << (info.flags.empty() ? "(none)" : info.flags)
      << '\n'
      << "  build type  " << info.build_type << '\n'
-     << "  cores       " << info.cores << '\n';
+     << "  cores       " << info.cores << '\n'
+     << "  kernel isa  " << info.kernel_isa << '\n';
   return os.str();
 }
 

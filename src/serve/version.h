@@ -21,6 +21,7 @@ struct BuildInfo {
   std::string flags;       // CMAKE_CXX_FLAGS_<BUILDTYPE>
   std::string build_type;  // "Release", ...
   unsigned cores = 0;      // hardware concurrency at run time
+  std::string kernel_isa;  // LLG kernel lanes: "sse2", "avx2", "avx512"
 };
 
 BuildInfo build_info();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "mag/kernels/sweep.h"
 #include "obs/json.h"
 
 namespace swsim::bench {
@@ -103,6 +104,7 @@ TEST(BenchHarness, WriterJsonRoundTripsThroughReader) {
   EXPECT_FALSE(doc.quick);
   EXPECT_FALSE(doc.env.compiler.empty());
   EXPECT_GT(doc.env.cores, 0u);
+  EXPECT_EQ(doc.env.kernel_isa, mag::kernels::sweep_variant().name);
   ASSERT_EQ(doc.cases.size(), 2u);
   ASSERT_TRUE(doc.cases.count("spin"));
   EXPECT_EQ(doc.cases.at("spin").unit, "s");
@@ -121,6 +123,17 @@ TEST(BenchReader, RejectsWrongSchemaOrShape) {
       parse_bench_json(obs::parse_json(
           "{\"schema\": \"swsim.bench/1\", \"name\": \"x\"}")),
       std::runtime_error);
+}
+
+TEST(BenchReader, EnvWithoutKernelIsaStillParses) {
+  // Files written before the kernel variant was recorded.
+  const BenchDoc doc = parse_bench_json(obs::parse_json(
+      R"({"schema": "swsim.bench/1", "name": "old", "quick": false,
+          "env": {"git_sha": "abc", "compiler": "GNU 12.2.0",
+                  "flags": "-O3", "build_type": "Release", "cores": 4},
+          "cases": {}, "scalars": {}})"));
+  EXPECT_EQ(doc.env.cores, 4u);
+  EXPECT_TRUE(doc.env.kernel_isa.empty());
 }
 
 // --- comparison boundary math -------------------------------------------

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "core/derived_gates.h"
 #include "core/logic.h"
@@ -219,6 +222,21 @@ struct GateSweepParam {
   double lambda_nm;
   wavenet::SplitPolicy split;
 };
+
+// The parameter's name in test ids, e.g. arm6_axis8_feed4_l55_unitary.
+// CTest's test discovery names each case by this printed value, and
+// without it by the struct's raw bytes (padding included).
+void PrintTo(const GateSweepParam& p, std::ostream* os) {
+  const auto num = [](double v) {
+    std::string s = ::testing::PrintToString(v);
+    std::replace(s.begin(), s.end(), '.', 'p');
+    return s;
+  };
+  *os << "arm" << num(p.n_arm) << "_axis" << num(p.n_axis_half) << "_feed"
+      << num(p.n_feed) << "_l" << num(p.lambda_nm)
+      << (p.split == wavenet::SplitPolicy::kUnitary ? "_unitary"
+                                                    : "_lossless");
+}
 
 class TriangleGateSweep : public ::testing::TestWithParam<GateSweepParam> {};
 

@@ -3,6 +3,7 @@
 // These are the tests scripts/check.sh also runs under ThreadSanitizer.
 #include "engine/scheduler.h"
 #include "engine/thread_pool.h"
+#include "obs/metrics.h"
 #include "robust/cancel.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -135,6 +138,42 @@ TEST(ThreadPool, ParallelForCallerParticipates) {
   EXPECT_EQ(covered.load(), 512);
   release = true;
   pool.wait_idle();
+}
+
+TEST(ThreadPool, ParallelForInsideASaturatedPoolQueuesNothing) {
+  // Each of the two workers runs a job that issues its own parallel_for
+  // while both jobs are running: no worker is idle, so neither call
+  // queues a helper task, and each runs every chunk itself with the
+  // serial result.
+  struct Disarm {
+    ~Disarm() { obs::MetricsRegistry::disarm(); }
+  } disarm;
+  obs::MetricsRegistry::arm();
+  obs::Counter& submitted =
+      obs::MetricsRegistry::global().counter("pool.tasks.submitted");
+  constexpr std::size_t kN = 1000, kGrain = 64;
+  std::vector<std::uint64_t> serial((kN + kGrain - 1) / kGrain, 0);
+  for (std::size_t i = 0; i < kN; ++i) serial[i / kGrain] += i * i;
+
+  ThreadPool pool(2);
+  const std::uint64_t before = submitted.value();
+  std::latch running(2), swept(2);
+  std::vector<std::uint64_t> sums[2];
+  for (int j = 0; j < 2; ++j) {
+    pool.submit([&, j] {
+      running.arrive_and_wait();
+      std::vector<std::uint64_t> out(serial.size(), 0);
+      pool.parallel_for(kN, kGrain, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) out[b / kGrain] += i * i;
+      });
+      sums[j] = std::move(out);
+      swept.arrive_and_wait();  // neither job ends before both have swept
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(submitted.value() - before, 2u);  // the two jobs only
+  EXPECT_EQ(sums[0], serial);
+  EXPECT_EQ(sums[1], serial);
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstException) {

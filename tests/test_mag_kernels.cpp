@@ -4,17 +4,20 @@
 // the scalar reference steppers for every stepper kind, every term set it
 // lowers, and ANY intra-solve job count. These tests hold it to that with
 // memcmp over the raw Vec3 bytes — no tolerances anywhere — on masked
-// geometries that exercise interior SIMD runs, scalar edge cells,
-// absent-neighbour self-indices, and the antenna gate at once: a
-// triangle, a box with interior holes (rows split mid-way, so runs of one
-// row sit at different ±y slot offsets), and two- and three-layer grids
-// (the ±z neighbours, in the edge table and in the run offsets, and runs
-// on the grid's border rows and layers). One test arms the metrics
-// registry around a solve: armed telemetry must not change a byte either.
+// geometries that exercise the neighbour table's gathers, absent-neighbour
+// self entries, overlapping last blocks and the antenna gate at once: a
+// triangle, a box with interior holes, two- and three-layer grids (the ±z
+// neighbours), and a layout smaller than any lane width. Every lane-width
+// variant the host CPU runs is checked against the SSE2 baseline and the
+// reference. One test arms the metrics registry around a solve: armed
+// telemetry must not change a byte either.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -27,6 +30,8 @@
 #include "mag/exchange_field.h"
 #include "mag/kernels/plan.h"
 #include "mag/kernels/runtime.h"
+#include "mag/kernels/soa.h"
+#include "mag/kernels/sweep.h"
 #include "mag/llg.h"
 #include "mag/material.h"
 #include "mag/simulation.h"
@@ -57,10 +62,9 @@ struct KernelModeGuard {
 
 Grid make_grid() { return Grid(24, 16, 1, 4e-9, 4e-9, 10e-9); }
 
-// Right-triangle footprint: row y keeps x in [0, nx - y). Produces long
-// interior runs low in the triangle, short (< kMinRun) rows near the apex
-// that land whole on the edge path, and a diagonal boundary whose cells
-// have absent +x/+y neighbours.
+// Right-triangle footprint: row y keeps x in [0, nx - y). Long rows low
+// in the triangle, short rows near the apex, and a diagonal boundary
+// whose cells have absent +x/+y neighbours.
 Mask triangle_mask(const Grid& g) {
   Mask mask(g, false);
   for (std::size_t y = 0; y < g.ny(); ++y) {
@@ -73,8 +77,7 @@ Mask triangle_mask(const Grid& g) {
 
 // Antenna footprint: a column band from the grid's left border through
 // every layer, deliberately wider than the mask so region ∧ mask matters.
-// It drives edge slots (the x = 0 column has no -x neighbour) as well as
-// runs; runs that start right of it (past a hole) skip the op whole.
+// Blocks of slots straddle its edge, so the gate selects lane by lane.
 Mask antenna_region(const Grid& g) {
   Mask region(g, false);
   for (std::size_t z = 0; z < g.nz(); ++z) {
@@ -102,9 +105,9 @@ Layout triangle_layout() {
 }
 
 // A box with ragged corners and interior vacuum holes. A 2x1 hole splits
-// its row in two runs whose -y/+y neighbour rows are unbroken there, so
-// the two runs get different ±y slot offsets; a 3x3 hole and a one-cell
-// hole cut the rows around them.
+// its row in two, and its -y/+y neighbour rows are unbroken there, so
+// the ±y slot distance differs by two on either side of it; a 3x3 hole
+// and a one-cell hole cut the rows around them.
 Layout holes_layout() {
   const Grid g(44, 28, 1, 4e-9, 4e-9, 10e-9);
   Mask mask(g, false);
@@ -143,9 +146,19 @@ std::vector<Layout> layouts() {
           layered_layout(3)};
 }
 
+// Five active cells, an L in a 3x3 grid inside the antenna band: fewer
+// slots than the widest lane variant's block.
+Layout tiny_layout() {
+  const Grid g(3, 3, 1, 4e-9, 4e-9, 10e-9);
+  Mask mask(g, false);
+  for (std::size_t x = 0; x < 3; ++x) mask.set(g.index(x, 0, 0), true);
+  mask.set(g.index(0, 1, 0), true);
+  mask.set(g.index(0, 2, 0), true);
+  return {"tiny", g, mask};
+}
+
 // Every kernel-lowerable term at once. Without exchange no op reaches
-// off-cell, so every active cell of a long enough row joins a run, the
-// grid's border rows included.
+// off-cell, and every neighbour table entry is the slot itself.
 std::vector<std::unique_ptr<FieldTerm>> make_terms(const Grid& g,
                                                    bool exchange = true) {
   std::vector<std::unique_ptr<FieldTerm>> terms;
@@ -297,11 +310,10 @@ TEST(KernelBitExact, WatchdogTripsAtTheSameStep) {
 }
 
 TEST(KernelBitExact, SlotOffsetLayoutsMatchReferenceAtEveryJobCount) {
-  // Holes split rows into runs with distinct ±y slot offsets; the layered
-  // grids put ±z neighbours in the edge table and in the run offsets. Runs
-  // cover the grid's border rows and layers, whose out-of-grid ±y/±z
-  // neighbours take offset 0 (with exchange; without it no op reads a
-  // neighbour, and runs cover every long enough row).
+  // Holes make the ±y slot distances vary along a row; the layered grids
+  // add ±z neighbours, and their border layers out-of-grid ones, which
+  // read the slot itself (with exchange; without it no op reads a
+  // neighbour).
   for (const Layout& layout : layouts()) {
     for (const bool exchange : {true, false}) {
       for (const StepperKind kind : {StepperKind::kRk4, StepperKind::kRkf45}) {
@@ -400,6 +412,72 @@ TEST(KernelDeterminism, CellJobsDoNotChangeBytes) {
   EXPECT_TRUE(bytes_identical(serial.m, jobs8.m));
 }
 
+// One fused evaluation of initial_m at time t through `variant`, over
+// [0, slots) split into chunks of 64, 13, 8, 5, 3 and 1 slots in turn:
+// whole blocks, ranges that end in an overlapping block, ranges shorter
+// than a block, and a last chunk of whatever is left (the whole range,
+// for a layout of fewer than 64 slots). The output
+// starts as NaN, so a slot no block writes cannot match. Returned as a
+// field over the grid, vacuum +0.0.
+VectorField eval_variant(const kernels::SweepVariant& variant,
+                         const System& sys, const kernels::KernelPlan& plan,
+                         double t) {
+  const std::size_t n = plan.slots();
+  kernels::SoaVec m, dmdt;
+  kernels::gather(m, initial_m(sys), sys.active_cells());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  dmdt.x.assign(n, nan);
+  dmdt.y.assign(n, nan);
+  dmdt.z.assign(n, nan);
+  std::vector<kernels::EvalOp> ops;
+  kernels::resolve_ops(plan, t, ops);
+  const kernels::FusedSweep sweep = kernels::make_sweep(plan, m, ops, dmdt);
+  const std::size_t chunks[] = {64, 13, 8, 5, 3, 1};
+  for (std::size_t b = 0, c = 0; b < n; ++c) {
+    const std::size_t e = std::min(n, b + chunks[c % 6]);
+    variant.fused(sweep, b, e);
+    b = e;
+  }
+  VectorField out(sys.grid());
+  kernels::scatter(dmdt, sys.active_cells(), out);
+  return out;
+}
+
+TEST(KernelBitExact, EveryLaneWidthMatchesSse2AndReference) {
+  const auto variants = kernels::sweep_variants();
+  ASSERT_FALSE(variants.empty());
+  ASSERT_STREQ(variants[0].name, "sse2");
+  std::vector<Layout> all = layouts();
+  all.push_back(tiny_layout());
+  ASSERT_LT(tiny_layout().mask.count(), 8u);
+  const double t = 7.3e-12;  // the antenna drives: env 1, sin != 0
+  for (const auto& variant : variants) {
+    if (!variant.supported()) {
+      std::cout << "[  SKIP    ] " << variant.name
+                << " lanes: this CPU does not run them\n";
+      continue;
+    }
+    for (const Layout& layout : all) {
+      for (const bool exchange : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << variant.name << " " << layout.name << " exchange "
+                     << exchange);
+        const System sys(layout.grid, Material::fecob(), layout.mask);
+        auto terms = make_terms(layout.grid, exchange);
+        const auto plan = kernels::build_plan(sys, terms);
+        ASSERT_NE(plan, nullptr);
+        VectorField ref(layout.grid), h(layout.grid);
+        effective_field(sys, terms, initial_m(sys), t, h);
+        llg_rhs(sys, initial_m(sys), h, ref);
+        const VectorField sse2 = eval_variant(variants[0], sys, *plan, t);
+        const VectorField lanes = eval_variant(variant, sys, *plan, t);
+        EXPECT_TRUE(bytes_identical(sse2, lanes));
+        EXPECT_TRUE(bytes_identical(ref, lanes));
+      }
+    }
+  }
+}
+
 TEST(KernelDeterminism, OvfOutputIsByteIdentical) {
   const auto ref = run_steps(StepperKind::kRk4, 1, 1, 10, 2e-13);
   const auto fused = run_steps(StepperKind::kRk4, 0, 4, 10, 2e-13);
@@ -471,18 +549,15 @@ TEST(KernelPlan, RejectsTermsItCannotLower) {
     EXPECT_EQ(kernels::build_plan(sys, terms), nullptr);
   }
   {
-    // A run's antenna coverage holds one bit per antenna: eight lower,
-    // a ninth sends the set to the reference path.
+    // Every block runs every antenna op through its own gate, so any
+    // number of antennas lowers.
     std::vector<std::unique_ptr<FieldTerm>> terms;
     terms.push_back(std::make_unique<ExchangeField>());
-    const auto add_antenna = [&] {
+    for (int a = 0; a < 9; ++a) {
       terms.push_back(std::make_unique<AntennaField>(
           antenna_region(g), 5.0e3, Vec3{1, 0, 0}, 2.6e9, 0.3));
-    };
-    for (int a = 0; a < 8; ++a) add_antenna();
+    }
     EXPECT_NE(kernels::build_plan(sys, terms), nullptr);
-    add_antenna();
-    EXPECT_EQ(kernels::build_plan(sys, terms), nullptr);
   }
 }
 
@@ -505,15 +580,14 @@ std::ptrdiff_t flat_neighbour(const Grid& g, std::size_t i, int k) {
                                              static_cast<std::size_t>(z)));
 }
 
-void expect_partition(const Layout& layout) {
+void expect_neighbour_table(const Layout& layout, bool exchange) {
   SCOPED_TRACE(layout.name);
+  SCOPED_TRACE(exchange ? "exchange" : "no exchange");
   const Grid& g = layout.grid;
   const System sys(g, Material::fecob(), layout.mask);
-  auto terms = make_terms(g);
+  auto terms = make_terms(g, exchange);
   const auto plan = kernels::build_plan(sys, terms);
   ASSERT_NE(plan, nullptr);
-  ASSERT_GT(plan->edge_slots.size(), 0u);
-  ASSERT_GT(plan->runs.size(), 0u);
 
   // The slot order is the System's active-cell list: the masked cells,
   // ascending.
@@ -525,94 +599,70 @@ void expect_partition(const Layout& layout) {
     if (mask[i]) masked.push_back(static_cast<std::uint32_t>(i));
   }
   ASSERT_EQ(active, masked);
-
   EXPECT_EQ(plan->slots(), sys.magnetic_cell_count());
-  EXPECT_EQ(plan->interior_total + plan->edge_slots.size(), plan->slots());
 
-  // Every interior cell is active with in-grid, active ±x neighbours, its
-  // six neighbour slots (±1, then the run's ±y/±z offsets) are exactly its
-  // in-grid neighbours, which are active, an out-of-grid ±y/±z neighbour
-  // has offset 0, and no slot appears twice.
-  const bool used[3] = {g.nx() > 1, g.ny() > 1, g.nz() > 1};
-  std::vector<int> seen(plan->slots(), 0);
-  std::uint64_t counted = 0;
-  for (std::size_t r = 0; r < plan->runs.size(); ++r) {
-    const auto& run = plan->runs[r];
-    EXPECT_EQ(plan->run_prefix[r], counted);
-    const std::ptrdiff_t nbo[6] = {-1, 1, run.off[0], run.off[1],
-                                   run.off[2], run.off[3]};
-    for (std::uint32_t s = run.b; s < run.e; ++s) {
-      ++seen[s];
-      const std::size_t i = active[s];
-      EXPECT_TRUE(mask[i]);
-      for (int k = 0; k < 6; ++k) {
-        if (!used[k / 2]) continue;
-        const std::ptrdiff_t j = flat_neighbour(g, i, k);
-        if (j < 0) {
-          ASSERT_GE(k, 2) << "slot " << s << " has no x neighbour " << k;
-          EXPECT_EQ(nbo[k], 0) << "slot " << s << " neighbour " << k;
-          continue;
-        }
-        EXPECT_TRUE(mask[static_cast<std::size_t>(j)])
-            << "slot " << s << " neighbour " << k;
-        const std::ptrdiff_t ns = static_cast<std::ptrdiff_t>(s) + nbo[k];
-        ASSERT_GE(ns, 0);
-        ASSERT_LT(ns, static_cast<std::ptrdiff_t>(plan->slots()));
-        EXPECT_EQ(static_cast<std::ptrdiff_t>(active[ns]), j)
-            << "slot " << s << " neighbour " << k;
-      }
-    }
-    counted += run.e - run.b;
-  }
-  EXPECT_EQ(counted, plan->interior_total);
-  for (const std::uint32_t s : plan->edge_slots) ++seen[s];
-  for (std::size_t s = 0; s < plan->slots(); ++s) {
-    EXPECT_EQ(seen[s], 1) << "slot " << s;
-  }
-
-  // The edge table: six offsets per edge slot, each to the slot of the
-  // flat neighbour, or 0 where that neighbour is outside the grid or
-  // vacuum.
-  ASSERT_EQ(plan->edge_off.size(), 6 * plan->edge_slots.size());
-  for (std::size_t e = 0; e < plan->edge_slots.size(); ++e) {
-    const std::uint32_t s = plan->edge_slots[e];
+  // Six entries per slot, neighbour-major. Each is a slot (the hardware
+  // gathers read it unchecked), and it is the slot of the cell's flat
+  // neighbour, or the slot itself where that neighbour is vacuum or
+  // outside the grid, or where the set has no exchange.
+  const std::size_t n = plan->slots();
+  ASSERT_EQ(plan->nb.size(), 6 * n);
+  std::size_t absent = 0, present = 0;
+  for (std::size_t s = 0; s < n; ++s) {
     for (int k = 0; k < 6; ++k) {
+      const std::uint32_t entry = plan->nb[static_cast<std::size_t>(k) * n + s];
+      ASSERT_LT(entry, n) << "slot " << s << " neighbour " << k;
       const std::ptrdiff_t j = flat_neighbour(g, active[s], k);
-      const std::ptrdiff_t off = plan->edge_off[6 * e + k];
-      if (j < 0 || !mask[static_cast<std::size_t>(j)]) {
-        EXPECT_EQ(off, 0) << "slot " << s << " neighbour " << k;
+      if (!exchange || j < 0 || !mask[static_cast<std::size_t>(j)]) {
+        EXPECT_EQ(entry, s) << "slot " << s << " neighbour " << k;
+        ++absent;
       } else {
-        ASSERT_NE(off, 0) << "slot " << s << " neighbour " << k;
-        EXPECT_EQ(static_cast<std::ptrdiff_t>(active[s + off]), j)
+        EXPECT_EQ(static_cast<std::ptrdiff_t>(active[entry]), j)
             << "slot " << s << " neighbour " << k;
+        ++present;
       }
     }
   }
+  EXPECT_GT(absent, 0u);
+  EXPECT_EQ(present > 0, exchange);
 }
 
-TEST(KernelPlan, InteriorAndEdgePartitionTheActiveSet) {
-  for (const Layout& layout : layouts()) expect_partition(layout);
+TEST(KernelPlan, NeighbourTableMapsEverySlot) {
+  for (const Layout& layout : layouts()) {
+    for (const bool exchange : {true, false}) {
+      expect_neighbour_table(layout, exchange);
+    }
+  }
+  expect_neighbour_table(tiny_layout(), true);
 }
 
-TEST(KernelPlan, HoleRowRunsHaveDistinctYOffsets) {
-  // The 2x1 hole at y = 9 splits that row into runs whose ±y offsets
-  // differ by the hole's two cells: the slots between the right run and
-  // its -y neighbours skip the hole, and so do those between the left
-  // run and its +y neighbours.
+TEST(KernelPlan, HoleRowNeighboursSkipTheHole) {
+  // The 2x1 hole at x = 20..21 of row y = 9: its ±x neighbours read
+  // themselves, and the slot distance to the unbroken row below is two
+  // cells shorter right of the hole than left of it.
   const Layout layout = holes_layout();
-  const System sys(layout.grid, Material::fecob(), layout.mask);
-  auto terms = make_terms(layout.grid);
+  const Grid& g = layout.grid;
+  const System sys(g, Material::fecob(), layout.mask);
+  auto terms = make_terms(g);
   const auto plan = kernels::build_plan(sys, terms);
   ASSERT_NE(plan, nullptr);
-  std::vector<const kernels::KernelPlan::Run*> row;
-  for (const auto& run : plan->runs) {
-    if (layout.grid.unindex(sys.active_cells()[run.b]).y == 9) {
-      row.push_back(&run);
-    }
-  }
-  ASSERT_GE(row.size(), 2u);
-  EXPECT_EQ(row.front()->off[0] - row.back()->off[0], -2);
-  EXPECT_EQ(row.front()->off[1] - row.back()->off[1], -2);
+  const auto& active = sys.active_cells();
+  const std::size_t n = plan->slots();
+  const auto slot_of = [&](std::size_t x, std::size_t y) {
+    const auto it = std::lower_bound(active.begin(), active.end(),
+                                     static_cast<std::uint32_t>(g.index(x, y, 0)));
+    EXPECT_TRUE(it != active.end() && *it == g.index(x, y, 0));
+    return static_cast<std::uint32_t>(it - active.begin());
+  };
+  const auto entry = [&](std::uint32_t s, int k) {
+    return plan->nb[static_cast<std::size_t>(k) * n + s];
+  };
+  const std::uint32_t left = slot_of(19, 9), right = slot_of(22, 9);
+  EXPECT_EQ(entry(left, 1), left);    // +x is the hole
+  EXPECT_EQ(entry(right, 0), right);  // -x is the hole
+  EXPECT_EQ(entry(left, 2), slot_of(19, 8));
+  EXPECT_EQ(entry(right, 2), slot_of(22, 8));
+  EXPECT_EQ((left - entry(left, 2)) - (right - entry(right, 2)), 2u);
 }
 
 void expect_antenna_gate(const Layout& layout) {
@@ -641,23 +691,10 @@ void expect_antenna_gate(const Layout& layout) {
     if (on) driven.push_back(static_cast<std::uint32_t>(s));
   }
   EXPECT_EQ(antenna->cells, driven);
-  bool runs_driven = false;
-  for (const auto& run : plan->runs) {
-    bool any = false;
-    for (std::uint32_t s = run.b; s < run.e && !any; ++s) {
-      any = antenna->gate[s] != 0.0;
-    }
-    EXPECT_EQ((run.antenna & 1u) != 0, any);
-    runs_driven = runs_driven || any;
-  }
-  // The antenna drives cells of both kinds, so the bit-exact tests cover
-  // the drive in runs and in edge slots.
-  bool edge_driven = false;
-  for (const std::uint32_t s : plan->edge_slots) {
-    edge_driven = edge_driven || antenna->gate[s] != 0.0;
-  }
-  EXPECT_TRUE(runs_driven);
-  EXPECT_TRUE(edge_driven);
+  // Some slots are driven and some are not, so the bit-exact tests cover
+  // both sides of the gate's select.
+  EXPECT_GT(driven.size(), 0u);
+  EXPECT_LT(driven.size(), plan->slots());
 }
 
 TEST(KernelPlan, AntennaGateMatchesRegionAndMask) {

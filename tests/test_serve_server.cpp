@@ -14,6 +14,7 @@
 
 #include "core/validator.h"
 #include "engine/batch_runner.h"
+#include "mag/kernels/sweep.h"
 #include "obs/json.h"
 #include "serve/client.h"
 #include "serve/codec.h"
@@ -82,6 +83,9 @@ TEST(ServeServer, HelloEchoesTheBuildFingerprint) {
   EXPECT_EQ(payload.find("protocol")->str(), kProtocol);
   ASSERT_NE(payload.find("git_sha"), nullptr);
   ASSERT_NE(payload.find("compiler"), nullptr);
+  ASSERT_NE(payload.find("kernel_isa"), nullptr);
+  EXPECT_EQ(payload.find("kernel_isa")->str(),
+            mag::kernels::sweep_variant().name);
   EXPECT_EQ(payload.find("endpoint")->str(), server.endpoint());
 
   client.close();
