@@ -5,7 +5,9 @@
 #      defines one global symbol and no weak ones, then the magnetics
 #      suites re-run under SWSIM_KERNEL_REF=1 — the scalar reference
 #      oracle — so a fused-kernel bug cannot hide behind the
-#      identical-by-construction default path (docs/PERFORMANCE.md).
+#      identical-by-construction default path (docs/PERFORMANCE.md). The
+#      watchdog and probe-rewind suites are among them: guarded recovery
+#      and rewinds cross the kernel path's residency boundary.
 #   2. a ThreadSanitizer build of the parallel-evaluation engine tests,
 #      run directly, to catch data races in the thread pool / scheduler /
 #      result cache.
@@ -89,7 +91,8 @@ done
 
 echo "== stage 1b: magnetics suites under the scalar reference oracle =="
 KREF_TESTS=(test_mag_kernels test_mag_llg test_mag_simulation
-            test_integration_micromag)
+            test_integration_micromag test_robust_watchdog
+            test_mag_probe_rewind)
 for t in "${KREF_TESTS[@]}"; do
   SWSIM_KERNEL_REF=1 "${BUILD_DIR}/tests/${t}"
 done

@@ -42,10 +42,8 @@ double UniaxialAnisotropyField::energy(const System& sys,
                                        const VectorField& m) const {
   // E = Ku * integral (1 - (m.u)^2); the constant offset makes the aligned
   // state zero-energy, the usual convention.
-  const auto& mask = sys.mask();
   double e = 0.0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!mask[i]) continue;
+  for (const std::uint32_t i : sys.active_cells()) {
     const double proj = dot(m[i], axis_);
     e += 1.0 - proj * proj;
   }

@@ -34,10 +34,8 @@ bool ThinFilmDemagField::compile_kernel(const System&,
 double ThinFilmDemagField::energy(const System& sys,
                                   const VectorField& m) const {
   // E = + mu0/2 * integral Ms^2 m_z^2 (self-consistent with the local field).
-  const auto& mask = sys.mask();
   double e = 0.0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!mask[i]) continue;
+  for (const std::uint32_t i : sys.active_cells()) {
     const double mz = m[i].z * sys.ms_at(i);
     e += mz * mz;
   }

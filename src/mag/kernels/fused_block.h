@@ -69,8 +69,22 @@ inline void llg_lanes(V mx, V my, V mz, V hx, V hy, V hz, V alpha, V pref,
   oz = (cz + tz * alpha) * pref;
 }
 
+// The epilogue's stage sum for the block at i: c[0]*k[0] + ... +
+// c[nk-1]*k[nk-1] + c[nk]*r, left-associated as combine_range sums it.
+template <class V>
+inline V stage_sum(const FusedSweep& s, const double* const* k, V r,
+                   std::size_t i) {
+  if (s.nk == 0) return r * V::set1(s.c[0]);
+  V a = V::load(k[0] + i) * V::set1(s.c[0]);
+  for (std::size_t j = 1; j < s.nk; ++j) {
+    a = a + V::load(k[j] + i) * V::set1(s.c[j]);
+  }
+  return a + r * V::set1(s.c[s.nk]);
+}
+
 // The one per-cell op sequence of the kernel layer: for the V::kWidth
-// slots starting at i, accumulate every op in term order, then the rhs.
+// slots starting at i, accumulate every op in term order, then the rhs,
+// then, if the sweep has one, the epilogue from the rhs in registers.
 // Exchange gathers m at the six neighbour slots of the plan's table
 // (-x,+x,-y,+y,-z,+z); an absent neighbour is the slot itself, whose
 // (m[i] - m[i]) * w is an exact +0.0, bit-identical to the reference
@@ -137,11 +151,19 @@ inline void fused_block(const FusedSweep& s, std::size_t i) {
   rx.store(s.ox + i);
   ry.store(s.oy + i);
   rz.store(s.oz + i);
+  if (s.tx) {
+    const V h = V::set1(s.h);
+    (V::load(s.bx + i) + stage_sum(s, s.kx, rx, i) * h).store(s.tx + i);
+    (V::load(s.by + i) + stage_sum(s, s.ky, ry, i) * h).store(s.ty + i);
+    (V::load(s.bz + i) + stage_sum(s, s.kz, rz, i) * h).store(s.tz + i);
+  }
 }
 
 // SweepVariant::fused for lane type V: whole V-wide blocks over [b, e),
 // the last one overlapping back to e - V::kWidth, so it stays inside the
-// range; a range shorter than a block runs one cell at a time.
+// range (its slots are written twice, with the same bytes: no output
+// aliases an input); a range shorter than a block runs one cell at a
+// time.
 template <class V>
 void fused_range(const FusedSweep& s, std::size_t b, std::size_t e) {
   if (e - b < V::kWidth) {

@@ -1,12 +1,13 @@
 // Structure-of-arrays scratch storage for the LLG hot loops.
 //
 // math::Field<Vec3> stores xyzxyz... over the whole grid — fine as the
-// public value type, but the stride-3 layout defeats auto-vectorization
-// in the stage-combination and field-sweep loops, and most of a masked
-// grid is vacuum. SoaVec keeps three contiguous double arrays indexed by
-// slot (the System's active-cell list). Conversion happens only at the
-// solve boundary (gather at step entry, scatter at step exit), never
-// inside a stage loop.
+// public value type, but the stride-3 layout defeats vectorization of
+// the field sweep, and most of a masked grid is vacuum. SoaVec keeps
+// three contiguous double arrays indexed by slot (the System's
+// active-cell list). Conversion happens only at a residency boundary
+// (llg.h, Stepper::Resident): a gather when a run's first kernel step
+// loads the state, a scatter when a reader needs the field (a probe
+// sample, the energy check) and when the run ends — never per step.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,10 @@
 #include "mag/kernels/sweep.h"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "mag/zeeman_field.h"
 #include "math/constants.h"
@@ -54,24 +57,6 @@ void resolve_ops(const KernelPlan& p, double t, std::vector<EvalOp>& out) {
   }
 }
 
-void axpy(SoaVec& out, const SoaVec& base, double s, const SoaVec& k,
-          std::size_t b, std::size_t e) {
-  double* __restrict ox = out.x.data();
-  double* __restrict oy = out.y.data();
-  double* __restrict oz = out.z.data();
-  const double* __restrict bx = base.x.data();
-  const double* __restrict by = base.y.data();
-  const double* __restrict bz = base.z.data();
-  const double* __restrict kx = k.x.data();
-  const double* __restrict ky = k.y.data();
-  const double* __restrict kz = k.z.data();
-  for (std::size_t i = b; i < e; ++i) {
-    ox[i] = bx[i] + kx[i] * s;
-    oy[i] = by[i] + ky[i] * s;
-    oz[i] = bz[i] + kz[i] * s;
-  }
-}
-
 double err_max_range(double h, const double (&c)[5],
                      const SoaVec* const (&k)[5], std::size_t b,
                      std::size_t e) {
@@ -92,23 +77,93 @@ double err_max_range(double h, const double (&c)[5],
   return worst;
 }
 
+void renormalize_range(SoaVec& m, std::size_t b, std::size_t e) {
+  double* x = m.x.data();
+  double* y = m.y.data();
+  double* z = m.z.data();
+  // Baseline SSE2: the n > 0 select keeps GCC from vectorizing the plain
+  // loop, and a divide-bound loop gains nothing from wider lanes. Lanes
+  // where n is not > 0 keep their bits through the and/andnot blend.
+  std::size_t i = b;
+  for (; i + 2 <= e; i += 2) {
+    const __m128d vx = _mm_loadu_pd(x + i);
+    const __m128d vy = _mm_loadu_pd(y + i);
+    const __m128d vz = _mm_loadu_pd(z + i);
+    const __m128d n = _mm_sqrt_pd(_mm_add_pd(
+        _mm_add_pd(_mm_mul_pd(vx, vx), _mm_mul_pd(vy, vy)),
+        _mm_mul_pd(vz, vz)));
+    const __m128d pos = _mm_cmpgt_pd(n, _mm_setzero_pd());
+    const auto pick = [&](__m128d v) {
+      return _mm_or_pd(_mm_and_pd(pos, _mm_div_pd(v, n)),
+                       _mm_andnot_pd(pos, v));
+    };
+    _mm_storeu_pd(x + i, pick(vx));
+    _mm_storeu_pd(y + i, pick(vy));
+    _mm_storeu_pd(z + i, pick(vz));
+  }
+  for (; i < e; ++i) {
+    const double n = std::sqrt(x[i] * x[i] + y[i] * y[i] + z[i] * z[i]);
+    if (n > 0.0) {
+      x[i] /= n;
+      y[i] /= n;
+      z[i] /= n;
+    }
+  }
+}
+
+Epilogue stage(SoaVec& out, const SoaVec& base, double h,
+               std::initializer_list<double> c,
+               std::initializer_list<const SoaVec*> k) {
+  if (c.size() != k.size() + 1 || k.size() > Epilogue::kMaxK) {
+    throw std::invalid_argument(
+        "kernels::stage: want one coefficient per k plus one for dm/dt, "
+        "at most 4 earlier ks");
+  }
+  Epilogue epi;
+  epi.out = &out;
+  epi.base = &base;
+  epi.h = h;
+  epi.n = k.size();
+  std::copy(c.begin(), c.end(), epi.c);
+  std::copy(k.begin(), k.end(), epi.k);
+  return epi;
+}
+
 FusedSweep make_sweep(const KernelPlan& p, const SoaVec& m,
-                      const std::vector<EvalOp>& ops, SoaVec& dmdt) {
-  return FusedSweep{m.x.data(),
-                    m.y.data(),
-                    m.z.data(),
-                    dmdt.x.data(),
-                    dmdt.y.data(),
-                    dmdt.z.data(),
-                    p.nb.data(),
-                    p.slots(),
-                    p.alpha.data(),
-                    p.llg_pref.data(),
-                    p.ms.data(),
-                    {p.inv_d2[0], p.inv_d2[1], p.inv_d2[2]},
-                    {p.axis_used[0], p.axis_used[1], p.axis_used[2]},
-                    ops.data(),
-                    ops.size()};
+                      const std::vector<EvalOp>& ops, SoaVec& dmdt,
+                      const Epilogue& epi) {
+  FusedSweep s{m.x.data(),
+               m.y.data(),
+               m.z.data(),
+               dmdt.x.data(),
+               dmdt.y.data(),
+               dmdt.z.data(),
+               p.nb.data(),
+               p.slots(),
+               p.alpha.data(),
+               p.llg_pref.data(),
+               p.ms.data(),
+               {p.inv_d2[0], p.inv_d2[1], p.inv_d2[2]},
+               {p.axis_used[0], p.axis_used[1], p.axis_used[2]},
+               ops.data(),
+               ops.size()};
+  if (epi.out) {
+    s.tx = epi.out->x.data();
+    s.ty = epi.out->y.data();
+    s.tz = epi.out->z.data();
+    s.bx = epi.base->x.data();
+    s.by = epi.base->y.data();
+    s.bz = epi.base->z.data();
+    for (std::size_t j = 0; j < epi.n; ++j) {
+      s.kx[j] = epi.k[j]->x.data();
+      s.ky[j] = epi.k[j]->y.data();
+      s.kz[j] = epi.k[j]->z.data();
+    }
+    std::copy(epi.c, epi.c + epi.n + 1, s.c);
+    s.nk = epi.n;
+    s.h = epi.h;
+  }
+  return s;
 }
 
 // The variant objects' entry points (fused_<isa>.cpp). Each is compiled

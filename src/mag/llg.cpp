@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "mag/kernels/context.h"
 #include "mag/kernels/runtime.h"
@@ -117,19 +118,44 @@ kernels::SolveContext* Stepper::kernel_context(
     const System& sys, const std::vector<std::unique_ptr<FieldTerm>>& terms) {
   if (kernels::reference_forced()) return nullptr;
   if (kctx_ && kctx_->matches(sys, terms)) return kctx_.get();
+  unload();
   // A term set that refuses to lower (thermal noise, FFT demag) is rejected
   // in O(terms) inside create(), so retrying every step is cheap.
-  kctx_ = kernels::SolveContext::create(sys, terms);
+  const std::size_t stages = kind_ == StepperKind::kHeun  ? 2
+                             : kind_ == StepperKind::kRk4 ? 4
+                                                          : 6;
+  kctx_ = kernels::SolveContext::create(sys, terms, stages);
   return kctx_.get();
 }
 
+void Stepper::unload() {
+  if (loaded_) kctx_->store_m(*resident_);
+  loaded_ = false;
+}
+
+Stepper::Resident::Resident(Stepper& stepper, VectorField& m)
+    : stepper_(stepper), outer_(stepper.resident_) {
+  stepper_.unload();
+  stepper_.resident_ = &m;
+}
+
+Stepper::Resident::~Resident() {
+  stepper_.unload();
+  stepper_.resident_ = outer_;
+}
+
+void Stepper::Resident::sync() {
+  if (stepper_.loaded_) stepper_.kctx_->store_m(*stepper_.resident_);
+}
+
 void Stepper::keval(kernels::SolveContext& c, const kernels::SoaVec& state,
-                    double t, kernels::SoaVec& dmdt) {
+                    double t, kernels::SoaVec& dmdt,
+                    const kernels::Epilogue& epi) {
   {
     static obs::Counter& field_us =
         obs::MetricsRegistry::global().counter("mag.field_assembly.us");
     obs::ScopedTimerUs timer(field_us);
-    c.eval(state, t, dmdt);
+    c.eval(state, t, dmdt, epi);
   }
   ++stats_.field_evaluations;
   static obs::Counter& evals =
@@ -140,47 +166,52 @@ void Stepper::keval(kernels::SolveContext& c, const kernels::SoaVec& state,
 double Stepper::step(const System& sys,
                      const std::vector<std::unique_ptr<FieldTerm>>& terms,
                      VectorField& m, double t) {
+  if (resident_ == &m) return advance(sys, terms, m, t);
+  Resident one_step(*this, m);
+  return advance(sys, terms, m, t);
+}
+
+double Stepper::advance(const System& sys,
+                        const std::vector<std::unique_ptr<FieldTerm>>& terms,
+                        VectorField& m, double t) {
   // Stochastic terms draw one noise realization per step, scaled by the
   // step size the integrator is about to take.
   for (const auto& term : terms) term->advance_step(dt_);
 
-  double taken = 0.0;
-  if (kernels::SolveContext* ctx = kernel_context(sys, terms)) {
-    // Fused SoA path: the magnetic cells are gathered into slot order only
-    // here, at the step boundary; the stage math runs on the context's
-    // slot-indexed buffers, and vacuum cells of m are never written.
+  // The fused SoA path gathers m into slot order once per residency; the
+  // stage math and the step tail run on the context's slot buffers, and
+  // vacuum cells of m are never written. The reference path steps m.
+  kernels::SolveContext* ctx = kernel_context(sys, terms);
+  if (!ctx) {
+    unload();
+  } else if (!loaded_) {
     ctx->load_m(m);
-    switch (kind_) {
-      case StepperKind::kHeun:
-        taken = kstep_heun(*ctx, t);
-        break;
-      case StepperKind::kRk4:
-        taken = kstep_rk4(*ctx, t);
-        break;
-      case StepperKind::kRkf45:
-        taken = kstep_rkf45(*ctx, t);
-        break;
-    }
-    ctx->store_m(m);
-  } else {
-    switch (kind_) {
-      case StepperKind::kHeun:
-        taken = step_heun(sys, terms, m, t);
-        break;
-      case StepperKind::kRk4:
-        taken = step_rk4(sys, terms, m, t);
-        break;
-      case StepperKind::kRkf45:
-        taken = step_rkf45(sys, terms, m, t);
-        break;
-    }
+    loaded_ = true;
+  }
+  double taken = 0.0;
+  switch (kind_) {
+    case StepperKind::kHeun:
+      taken = ctx ? kstep_heun(*ctx, t) : step_heun(sys, terms, m, t);
+      break;
+    case StepperKind::kRk4:
+      taken = ctx ? kstep_rk4(*ctx, t) : step_rk4(sys, terms, m, t);
+      break;
+    case StepperKind::kRkf45:
+      taken = ctx ? kstep_rkf45(*ctx, t) : step_rkf45(sys, terms, m, t);
+      break;
   }
 
-  // Fault-injection hook: poison one magnetic cell at the armed step index
-  // (testing the watchdog + recovery path end-to-end). No-op — one relaxed
-  // atomic load — when nothing is armed.
+  // Fault-injection hook: poison the first magnetic cell (slot 0 on the
+  // kernel path) at the armed step index, testing the watchdog + recovery
+  // path end-to-end. No-op — one relaxed atomic load — when nothing is
+  // armed.
   if (robust::FaultPlan::global().consume_nan(stats_.steps_taken)) {
-    m[sys.active_cells().front()].x = std::numeric_limits<double>::quiet_NaN();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    if (ctx) {
+      ctx->m_.x[0] = nan;
+    } else {
+      m[sys.active_cells().front()].x = nan;
+    }
   }
 
   // Health scan on the raw integrator output: renormalization would mask
@@ -189,8 +220,10 @@ double Stepper::step(const System& sys,
     static obs::Counter& scan_us =
         obs::MetricsRegistry::global().counter("mag.watchdog_scan.us");
     obs::ScopedTimerUs timer(scan_us);
-    const robust::Status health = robust::scan_magnetization(
-        m, sys.mask(), watchdog_.norm_drift_tol);
+    const double tol = watchdog_.norm_drift_tol;
+    const robust::Status health =
+        ctx ? ctx->scan(tol)
+            : robust::scan_magnetization(m, sys.active_cells(), tol);
     if (!health.is_ok()) {
       obs::MetricsRegistry::global().counter("robust.watchdog_trips").add();
       auto& elog = obs::EventLog::global();
@@ -208,7 +241,11 @@ double Stepper::step(const System& sys,
     }
   }
 
-  renormalize(sys, m);
+  if (ctx) {
+    ctx->renormalize();
+  } else {
+    renormalize(sys, m);
+  }
   static obs::Counter& steps =
       obs::MetricsRegistry::global().counter("mag.llg.steps");
   steps.add();
@@ -322,68 +359,56 @@ double Stepper::step_rkf45(const System& sys,
 // --- Kernel-path steppers ---------------------------------------------------
 //
 // Stage-for-stage transcriptions of the reference steppers above onto the
-// context's SoA buffers. Scalar stage factors are collapsed exactly as the
-// reference's Vec3 operators collapse them (docs/PERFORMANCE.md lays out
-// the correspondence), so the results are byte-identical.
+// context's SoA buffers. Each stage combine rides in the epilogue of the
+// sweep that produces its fresh k, the last term of every reference sum;
+// the temporaries alternate between tmp_ and tmp2_, and the final update
+// writes next_, which is then swapped into m_. Scalar stage factors are
+// collapsed exactly as the reference's Vec3 operators collapse them
+// (docs/PERFORMANCE.md lays out the correspondence), so the results are
+// byte-identical.
 
 double Stepper::kstep_heun(kernels::SolveContext& c, double t) {
-  keval(c, c.m_, t, c.k1_);
-  c.stage1(c.tmp_, c.m_, dt_, c.k1_);
-  keval(c, c.tmp_, t + dt_, c.k2_);
-  const double coef[2] = {1.0, 1.0};
-  const kernels::SoaVec* const ks[2] = {&c.k1_, &c.k2_};
-  c.combine(c.m_, c.m_, 0.5 * dt_, coef, ks);
+  using kernels::stage;
+  keval(c, c.m_, t, c.k1_, stage(c.tmp_, c.m_, dt_, {1.0}, {}));
+  keval(c, c.tmp_, t + dt_, c.k2_,
+        stage(c.next_, c.m_, 0.5 * dt_, {1.0, 1.0}, {&c.k1_}));
+  std::swap(c.m_, c.next_);
   return dt_;
 }
 
 double Stepper::kstep_rk4(kernels::SolveContext& c, double t) {
-  keval(c, c.m_, t, c.k1_);
-  c.stage1(c.tmp_, c.m_, 0.5 * dt_, c.k1_);
-  keval(c, c.tmp_, t + 0.5 * dt_, c.k2_);
-  c.stage1(c.tmp_, c.m_, 0.5 * dt_, c.k2_);
-  keval(c, c.tmp_, t + 0.5 * dt_, c.k3_);
-  c.stage1(c.tmp_, c.m_, dt_, c.k3_);
-  keval(c, c.tmp_, t + dt_, c.k4_);
-  const double coef[4] = {1.0, 2.0, 2.0, 1.0};
-  const kernels::SoaVec* const ks[4] = {&c.k1_, &c.k2_, &c.k3_, &c.k4_};
-  c.combine(c.m_, c.m_, dt_ / 6.0, coef, ks);
+  using kernels::stage;
+  keval(c, c.m_, t, c.k1_, stage(c.tmp_, c.m_, 0.5 * dt_, {1.0}, {}));
+  keval(c, c.tmp_, t + 0.5 * dt_, c.k2_,
+        stage(c.tmp2_, c.m_, 0.5 * dt_, {1.0}, {}));
+  keval(c, c.tmp2_, t + 0.5 * dt_, c.k3_,
+        stage(c.tmp_, c.m_, dt_, {1.0}, {}));
+  keval(c, c.tmp_, t + dt_, c.k4_,
+        stage(c.next_, c.m_, dt_ / 6.0, {1.0, 2.0, 2.0, 1.0},
+              {&c.k1_, &c.k2_, &c.k3_}));
+  std::swap(c.m_, c.next_);
   return dt_;
 }
 
 double Stepper::kstep_rkf45(kernels::SolveContext& c, double t) {
   using namespace fehlberg;
+  using kernels::stage;
 
   for (int attempt = 0; attempt < 32; ++attempt) {
     const double h = dt_;
-    keval(c, c.m_, t, c.k1_);
     // Reference stage 2 associates as k1 * (h * a2) — a plain axpy.
-    c.stage1(c.tmp_, c.m_, h * a2, c.k1_);
-    keval(c, c.tmp_, t + a2 * h, c.k2_);
-    {
-      const double coef[2] = {b31, b32};
-      const kernels::SoaVec* const ks[2] = {&c.k1_, &c.k2_};
-      c.combine(c.tmp_, c.m_, h, coef, ks);
-    }
-    keval(c, c.tmp_, t + a3 * h, c.k3_);
-    {
-      const double coef[3] = {b41, b42, b43};
-      const kernels::SoaVec* const ks[3] = {&c.k1_, &c.k2_, &c.k3_};
-      c.combine(c.tmp_, c.m_, h, coef, ks);
-    }
-    keval(c, c.tmp_, t + a4 * h, c.k4_);
-    {
-      const double coef[4] = {b51, b52, b53, b54};
-      const kernels::SoaVec* const ks[4] = {&c.k1_, &c.k2_, &c.k3_, &c.k4_};
-      c.combine(c.tmp_, c.m_, h, coef, ks);
-    }
-    keval(c, c.tmp_, t + a5 * h, c.k5_);
-    {
-      const double coef[5] = {b61, b62, b63, b64, b65};
-      const kernels::SoaVec* const ks[5] = {&c.k1_, &c.k2_, &c.k3_, &c.k4_,
-                                            &c.k5_};
-      c.combine(c.tmp_, c.m_, h, coef, ks);
-    }
-    keval(c, c.tmp_, t + a6 * h, c.k6_);
+    keval(c, c.m_, t, c.k1_, stage(c.tmp_, c.m_, h * a2, {1.0}, {}));
+    keval(c, c.tmp_, t + a2 * h, c.k2_,
+          stage(c.tmp2_, c.m_, h, {b31, b32}, {&c.k1_}));
+    keval(c, c.tmp2_, t + a3 * h, c.k3_,
+          stage(c.tmp_, c.m_, h, {b41, b42, b43}, {&c.k1_, &c.k2_}));
+    keval(c, c.tmp_, t + a4 * h, c.k4_,
+          stage(c.tmp2_, c.m_, h, {b51, b52, b53, b54},
+                {&c.k1_, &c.k2_, &c.k3_}));
+    keval(c, c.tmp2_, t + a5 * h, c.k5_,
+          stage(c.tmp_, c.m_, h, {b61, b62, b63, b64, b65},
+                {&c.k1_, &c.k2_, &c.k3_, &c.k4_}));
+    keval(c, c.tmp_, t + a6 * h, c.k6_, kernels::Epilogue{});
 
     const double ecoef[5] = {e1, e3, e4, e5, e6};
     const kernels::SoaVec* const eks[5] = {&c.k1_, &c.k3_, &c.k4_, &c.k5_,
@@ -392,9 +417,8 @@ double Stepper::kstep_rkf45(kernels::SolveContext& c, double t) {
 
     if (err <= tolerance_ || dt_ <= 1e-18) {
       const double coef[5] = {c1, c3, c4, c5, c6};
-      const kernels::SoaVec* const ks[5] = {&c.k1_, &c.k3_, &c.k4_, &c.k5_,
-                                            &c.k6_};
-      c.combine(c.m_, c.m_, h, coef, ks);
+      c.combine(c.next_, c.m_, h, coef, eks);
+      std::swap(c.m_, c.next_);
       // Grow the step gently for the next call (bounded at 2x).
       if (err > 0.0) {
         const double factor =

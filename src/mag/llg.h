@@ -15,8 +15,9 @@
 //           control on the max-norm of dm.
 //
 // After every accepted step the magnetization is renormalized cell-wise
-// over the System's active-cell list (vacuum cells stay zero), which keeps
-// |m| = 1 against integration drift.
+// over the System's active-cell list (vacuum cells stay zero; the kernel
+// path renormalizes its slots), which keeps |m| = 1 against integration
+// drift.
 #pragma once
 
 #include <memory>
@@ -31,6 +32,7 @@ namespace swsim::mag {
 namespace kernels {
 class SolveContext;
 struct SoaVec;
+struct Epilogue;
 }
 
 // Computes H_eff (sum of all terms) for state m at time t into h (h is
@@ -70,6 +72,13 @@ class Stepper {
   // (RKF45 may shrink it). Notifies the terms via advance_step() so
   // stochastic terms redraw their noise.
   //
+  // One step body serves every caller. Inside a Resident scope over m
+  // (Simulation::run opens one for a whole run) the kernel path keeps the
+  // state in slot order from step to step and m is stale until the scope
+  // syncs or ends. Called on any other field (tests, relax), step() opens
+  // a scope for this one step, so m is current when it returns, thrown
+  // or not.
+  //
   // Vacuum cells of m must hold +0.0 in every component (the System
   // invariant; Simulation::set_magnetization canonicalizes them). The
   // kernel path never writes vacuum cells, and the reference path adds an
@@ -78,13 +87,39 @@ class Stepper {
   // would come back +0.0 from the reference path and -0.0 from the
   // kernel path.
   //
-  // At the watchdog cadence the raw (pre-renormalization) state is scanned
-  // for NaN/Inf and |m| norm drift; a violation throws robust::SolveError
-  // with StatusCode::kNumericalDivergence instead of letting the poisoned
-  // state propagate. Recovery policy lives in Simulation::run_guarded.
+  // After the stages comes the step tail, in this order on either path's
+  // state (the kernel path's slots, or the AoS field): the fault-injection
+  // poke, then at the watchdog cadence a scan of the raw
+  // (pre-renormalization) state for NaN/Inf and |m| norm drift, then
+  // renormalization. A violation throws robust::SolveError with
+  // StatusCode::kNumericalDivergence instead of letting the poisoned state
+  // propagate. Recovery policy lives in Simulation::run_guarded.
   double step(const System& sys,
               const std::vector<std::unique_ptr<FieldTerm>>& terms,
               VectorField& m, double t);
+
+  // A residency scope over the AoS field m. From the first kernel-path
+  // step on m until the scope ends, the state lives in the solve
+  // context's slot buffers; m is written only by sync() and by the
+  // destructor, which runs on a normal exit, an early stop or a throw.
+  // The reference path steps m itself, so there both are no-ops. Opening
+  // a scope while another is open stores that one's state into its field
+  // first, and its steps reload it after this scope ends.
+  class Resident {
+   public:
+    Resident(Stepper& stepper, VectorField& m);
+    ~Resident();
+    Resident(const Resident&) = delete;
+    Resident& operator=(const Resident&) = delete;
+
+    // Writes the current state into m, for a reader (a probe sample, the
+    // energy check); the state stays resident.
+    void sync();
+
+   private:
+    Stepper& stepper_;
+    VectorField* outer_;
+  };
 
   const StepperStats& stats() const { return stats_; }
   StepperKind kind() const { return kind_; }
@@ -115,14 +150,22 @@ class Stepper {
             const std::vector<std::unique_ptr<FieldTerm>>& terms,
             const VectorField& m, double t, VectorField& dmdt);
 
+  // The step body, on the field of the open Resident scope.
+  double advance(const System& sys,
+                 const std::vector<std::unique_ptr<FieldTerm>>& terms,
+                 VectorField& m, double t);
+
   // Fused SoA kernel path (see src/mag/kernels/): bit-identical to the
   // reference steppers above, entered whenever every term lowers to a
   // kernel op. Returns nullptr — reference path — otherwise, or when
-  // SWSIM_KERNEL_REF forces the scalar oracle.
+  // SWSIM_KERNEL_REF forces the scalar oracle. A rebuild stores the old
+  // context's resident state first.
   kernels::SolveContext* kernel_context(
       const System& sys, const std::vector<std::unique_ptr<FieldTerm>>& terms);
+  // Ends residency in the context: its state into the scope's field.
+  void unload();
   void keval(kernels::SolveContext& c, const kernels::SoaVec& state, double t,
-             kernels::SoaVec& dmdt);
+             kernels::SoaVec& dmdt, const kernels::Epilogue& epi);
   double kstep_heun(kernels::SolveContext& c, double t);
   double kstep_rk4(kernels::SolveContext& c, double t);
   double kstep_rkf45(kernels::SolveContext& c, double t);
@@ -134,6 +177,8 @@ class Stepper {
   robust::WatchdogConfig watchdog_;
   VectorField h_;  // scratch field buffer reused across steps
   std::unique_ptr<kernels::SolveContext> kctx_;  // cached solve plan+buffers
+  VectorField* resident_ = nullptr;  // the open Resident scope's field
+  bool loaded_ = false;  // kctx_->m_ holds that field's current state
 };
 
 }  // namespace swsim::mag

@@ -48,7 +48,7 @@ void RegionProbe::decimate() {
 
 bool RegionProbe::maybe_record(const System& sys, const VectorField& m,
                                double t) {
-  if (t + 1e-18 < next_sample_) return false;
+  if (!due(t)) return false;
   if (!(cells_.region().grid() == sys.grid())) {
     throw std::invalid_argument("RegionProbe '" + name_ +
                                 "': grid mismatch with system");

@@ -48,6 +48,9 @@ class RegionProbe {
     return demod_ ? &*demod_ : nullptr;
   }
 
+  // True when a sample is due at time t: maybe_record(t) would record.
+  bool due(double t) const { return !(t + 1e-18 < next_sample_); }
+
   // Called by the simulation after each step; records when a sample is
   // due. Returns true when the recorded sample completed a demodulator
   // window (always false while no demodulator is armed). The region's

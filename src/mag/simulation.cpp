@@ -178,6 +178,10 @@ void Simulation::run(double duration) {
   for (std::size_t i = 0; i < probes_.size(); ++i) {
     if (probes_[i]->maybe_record(system_, m_, time_)) on_window_completed(i);
   }
+  // The kernel path keeps the state in slot order for the whole run: m_
+  // is written when a probe sample or the energy check reads it, and when
+  // this scope ends, however run() leaves.
+  Stepper::Resident resident(*stepper_, m_);
   while (time_ < t_end - 1e-18) {
     if (cancel_token_.cancelled()) {
       throw robust::SolveError(robust::Status::error(
@@ -195,6 +199,12 @@ void Simulation::run(double duration) {
     const double taken = stepper_->step(system_, terms_, m_, time_);
     time_ += taken;
     obs::ProgressReporter::global().on_llg_steps(1);
+    for (const auto& p : probes_) {
+      if (p->due(time_)) {
+        resident.sync();
+        break;
+      }
+    }
     bool window_done = false;
     for (std::size_t i = 0; i < probes_.size(); ++i) {
       if (probes_[i]->maybe_record(system_, m_, time_)) {
@@ -226,6 +236,7 @@ void Simulation::run(double duration) {
     }
     if (watchdog_.cadence > 0 && ++steps % watchdog_.cadence == 0) {
       obs::Span check_span("watchdog.energy", "robust");
+      resident.sync();
       double exchange_j = 0.0;
       const double energy_j = total_energy(&exchange_j);
       obs::PhysicsRegistry::global().record_energy(energy_j, exchange_j);

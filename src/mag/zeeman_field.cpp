@@ -26,10 +26,9 @@ void UniformZeemanField::accumulate(const System& sys, const VectorField& m,
 
 double UniformZeemanField::energy(const System& sys,
                                   const VectorField& m) const {
-  const auto& mask = sys.mask();
   double e = 0.0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (mask[i]) e += sys.ms_at(i) * dot(m[i], h_);
+  for (const std::uint32_t i : sys.active_cells()) {
+    e += sys.ms_at(i) * dot(m[i], h_);
   }
   return -kMu0 * e * sys.grid().cell_volume();
 }

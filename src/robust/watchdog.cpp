@@ -5,32 +5,30 @@
 
 namespace swsim::robust {
 
-namespace {
-
-bool finite3(const swsim::math::Vec3& v) {
-  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+Status check_cell(const swsim::math::Vec3& m, std::size_t cell,
+                  double norm_drift_tol) {
+  if (!std::isfinite(m.x) || !std::isfinite(m.y) || !std::isfinite(m.z)) {
+    return Status::error(
+        StatusCode::kNumericalDivergence,
+        "non-finite magnetization at cell " + std::to_string(cell));
+  }
+  if (norm_drift_tol > 0.0) {
+    const double drift = std::fabs(norm(m) - 1.0);
+    if (drift > norm_drift_tol) {
+      return Status::error(StatusCode::kNumericalDivergence,
+                           "|m| drift " + std::to_string(drift) +
+                               " at cell " + std::to_string(cell));
+    }
+  }
+  return Status::ok();
 }
 
-}  // namespace
-
 Status scan_magnetization(const swsim::math::VectorField& m,
-                          const swsim::math::Mask& mask,
+                          const std::vector<std::uint32_t>& cells,
                           double norm_drift_tol) {
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!mask[i]) continue;
-    if (!finite3(m[i])) {
-      return Status::error(
-          StatusCode::kNumericalDivergence,
-          "non-finite magnetization at cell " + std::to_string(i));
-    }
-    if (norm_drift_tol > 0.0) {
-      const double drift = std::fabs(norm(m[i]) - 1.0);
-      if (drift > norm_drift_tol) {
-        return Status::error(StatusCode::kNumericalDivergence,
-                             "|m| drift " + std::to_string(drift) +
-                                 " at cell " + std::to_string(i));
-      }
-    }
+  for (const std::uint32_t i : cells) {
+    Status health = check_cell(m[i], i, norm_drift_tol);
+    if (!health.is_ok()) return health;
   }
   return Status::ok();
 }

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "math/field.h"
 #include "robust/status.h"
@@ -45,10 +47,19 @@ struct WatchdogConfig {
   std::size_t max_step_halvings = 3;
 };
 
-// NaN/Inf + norm-drift scan over masked cells. `norm_drift_tol <= 0`
-// skips the drift check (scan a renormalized field for NaN only).
+// The per-cell health check: ok when every component of m is finite and
+// | |m| - 1 | <= norm_drift_tol, otherwise kNumericalDivergence naming
+// flat cell `cell`. `norm_drift_tol <= 0` skips the drift check (a
+// renormalized field is checked for NaN/Inf only). Every scan of the
+// solver state, on the AoS field or on the kernel path's slots, reports
+// through this one check, so both word a trip the same way.
+Status check_cell(const swsim::math::Vec3& m, std::size_t cell,
+                  double norm_drift_tol);
+
+// check_cell over the listed cells (a System's ascending active-cell
+// list) in order; the first failure is returned.
 Status scan_magnetization(const swsim::math::VectorField& m,
-                          const swsim::math::Mask& mask,
+                          const std::vector<std::uint32_t>& cells,
                           double norm_drift_tol);
 
 // Flags runaway growth of the total energy. reset() between solves. The

@@ -19,7 +19,9 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,6 +43,7 @@
 #include "math/constants.h"
 #include "math/field.h"
 #include "obs/metrics.h"
+#include "robust/cancel.h"
 #include "robust/fault_injection.h"
 #include "robust/status.h"
 
@@ -303,10 +306,252 @@ std::size_t steps_until_trip(int ref_mode) {
 }
 
 TEST(KernelBitExact, WatchdogTripsAtTheSameStep) {
-  // The injected NaN lands on the AoS state after the kernel path stores
-  // back, so the watchdog scan must fire on the identical step index in
-  // both modes.
+  // The kernel path pokes the injected NaN into slot 0 and scans its
+  // slots; the reference pokes and scans the AoS field. Slot 0 is the
+  // first active cell, so the scan must fire on the identical step index
+  // in both modes.
   EXPECT_EQ(steps_until_trip(1), steps_until_trip(0));
+}
+
+// Delegates every call to `inner` and requests a cancel on `token` once
+// `steps` steps have begun, so Simulation::run throws at its next poll:
+// the same step on both paths.
+class CancelAfterSteps final : public FieldTerm {
+ public:
+  CancelAfterSteps(std::unique_ptr<FieldTerm> inner, robust::CancelToken token,
+                   std::size_t steps)
+      : inner_(std::move(inner)), token_(std::move(token)), steps_(steps) {}
+  std::string name() const override { return inner_->name(); }
+  void accumulate(const System& sys, const VectorField& m, double t,
+                  VectorField& h) override {
+    inner_->accumulate(sys, m, t, h);
+  }
+  double energy(const System& sys, const VectorField& m) const override {
+    return inner_->energy(sys, m);
+  }
+  void advance_step(double dt) override {
+    inner_->advance_step(dt);
+    if (++begun_ == steps_) token_.request_cancel();
+  }
+  bool compile_kernel(const System& sys, kernels::TermOp& op) const override {
+    return inner_->compile_kernel(sys, op);
+  }
+
+ private:
+  std::unique_ptr<FieldTerm> inner_;
+  robust::CancelToken token_;
+  std::size_t steps_;
+  std::size_t begun_ = 0;
+};
+
+struct SimRun {
+  VectorField m;
+  StepperStats stats;
+  std::vector<std::vector<double>> series;  // t, mx, my, mz per probe:
+                                            // [0..3] drive, [4..7] apex
+  std::string error;                        // the SolveError's, if any
+};
+
+// One Simulation::run of 40 steps on the triangle with its antenna, every
+// sample of two probes due mid-run (every 3rd and 7th step) and the
+// watchdog at `cadence` (the state scan, plus the energy check). A NaN is
+// poked at step `nan_at`, and the run's token cancelled after step
+// `cancel_at`, when nonzero.
+SimRun sim_run(int ref_mode, StepperKind kind, std::size_t cadence,
+               std::size_t nan_at = 0, std::size_t cancel_at = 0) {
+  KernelModeGuard guard;
+  kernels::set_force_reference(ref_mode);
+  robust::ScopedFaultPlan plan;
+  if (nan_at > 0) plan->inject_nan_at_step(nan_at);
+  const Layout layout = triangle_layout();
+  const double dt = 2e-13;
+  Simulation sim(System(layout.grid, Material::fecob(), layout.mask));
+  robust::CancelToken token;
+  for (auto& term : make_terms(layout.grid)) {
+    if (cancel_at > 0 && term->name() == "exchange") {
+      term = std::make_unique<CancelAfterSteps>(std::move(term), token,
+                                                cancel_at);
+    }
+    sim.add_term(std::move(term));
+  }
+  sim.set_stepper(kind, dt);
+  robust::WatchdogConfig wd;
+  wd.cadence = cadence;
+  sim.set_watchdog(wd);
+  sim.set_cancel_token(token);
+  sim.set_magnetization(initial_m(sim.system()));
+  Mask apex(layout.grid, false);
+  for (std::size_t y = 8; y < layout.grid.ny(); ++y) {
+    for (std::size_t x = 0; x < 4; ++x) apex.set(layout.grid.index(x, y), true);
+  }
+  sim.add_probe("drive", antenna_region(layout.grid), 3 * dt);
+  sim.add_probe("apex", apex, 7 * dt);
+  SimRun r;
+  try {
+    sim.run(40 * dt);
+  } catch (const robust::SolveError& e) {
+    r.error = e.status().str();
+  }
+  r.m = sim.magnetization();
+  r.stats = sim.stepper_stats();
+  for (const char* name : {"drive", "apex"}) {
+    const RegionProbe& p = sim.probe(name);
+    for (const auto* v : {&p.times(), &p.mx(), &p.my(), &p.mz()}) {
+      r.series.push_back(*v);
+    }
+  }
+  return r;
+}
+
+::testing::AssertionResult runs_identical(const SimRun& a, const SimRun& b) {
+  if (auto m = bytes_identical(a.m, b.m); !m) return m;
+  if (std::memcmp(&a.stats, &b.stats, sizeof(StepperStats)) != 0) {
+    return ::testing::AssertionFailure()
+           << "stepper stats differ: " << a.stats.steps_taken << " vs "
+           << b.stats.steps_taken << " steps";
+  }
+  if (a.series.size() != b.series.size()) {
+    return ::testing::AssertionFailure() << "probe series count differs";
+  }
+  for (std::size_t j = 0; j < a.series.size(); ++j) {
+    const auto& x = a.series[j];
+    const auto& y = b.series[j];
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0) {
+      return ::testing::AssertionFailure() << "probe series " << j
+                                           << " differs";
+    }
+  }
+  if (a.error != b.error) {
+    return ::testing::AssertionFailure()
+           << "errors differ: '" << a.error << "' vs '" << b.error << "'";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(KernelBitExact, SimulationRunMatchesReference) {
+  // The kernel path keeps its state in slots for the whole run and writes
+  // the field for each probe sample and energy check and at the end; the
+  // reference steps the field itself. Every stepper, byte for byte.
+  for (const StepperKind kind :
+       {StepperKind::kHeun, StepperKind::kRk4, StepperKind::kRkf45}) {
+    SCOPED_TRACE(::testing::Message() << "stepper " << static_cast<int>(kind));
+    const SimRun ref = sim_run(1, kind, 1);
+    const SimRun fused = sim_run(0, kind, 1);
+    ASSERT_TRUE(ref.error.empty()) << ref.error;
+    ASSERT_GE(ref.stats.steps_taken, 14u);
+    ASSERT_GE(ref.series[0].size(), 5u);
+    ASSERT_GE(ref.series[4].size(), 3u);
+    EXPECT_TRUE(runs_identical(ref, fused));
+  }
+}
+
+TEST(KernelBitExact, SimulationRunThatThrowsStoresTheSameState) {
+  // A run that throws mid-solve leaves the field where the reference
+  // leaves it. The NaN trips the slot scan inside a step (the poked,
+  // unrenormalized state); the cancel throws between steps. Without a
+  // watchdog no energy check writes the field, so only the residency's
+  // store on the way out can.
+  const SimRun nan_ref = sim_run(1, StepperKind::kRk4, 1, 9);
+  const SimRun nan_fused = sim_run(0, StepperKind::kRk4, 1, 9);
+  EXPECT_NE(nan_ref.error.find("non-finite magnetization at cell"),
+            std::string::npos)
+      << nan_ref.error;
+  EXPECT_TRUE(runs_identical(nan_ref, nan_fused));
+
+  for (const std::size_t cadence : {0u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "cadence " << cadence);
+    const SimRun cancel_ref = sim_run(1, StepperKind::kRk4, cadence, 0, 11);
+    const SimRun cancel_fused = sim_run(0, StepperKind::kRk4, cadence, 0, 11);
+    EXPECT_NE(cancel_ref.error.find("cancelled"), std::string::npos)
+        << cancel_ref.error;
+    EXPECT_EQ(cancel_ref.stats.steps_taken, 11u);
+    EXPECT_TRUE(runs_identical(cancel_ref, cancel_fused));
+  }
+}
+
+TEST(KernelBitExact, ResidencyHandsTheStateOverAtEveryBoundary) {
+  // Inside one residency scope: kernel steps, a term set change (the plan
+  // is rebuilt, so the old context's state must be stored first), steps
+  // forced onto the reference (which step the field itself), and kernel
+  // steps again. The field after the scope matches an all-reference run.
+  const Layout layout = triangle_layout();
+  const System sys(layout.grid, Material::fecob(), layout.mask);
+  auto run = [&](bool kernels_allowed) {
+    KernelModeGuard guard;
+    kernels::set_force_reference(kernels_allowed ? 0 : 1);
+    auto full = make_terms(layout.grid);
+    auto no_exchange = make_terms(layout.grid, false);
+    VectorField m = initial_m(sys);
+    Stepper stepper(StepperKind::kRk4, 2e-13);
+    double t = 0.0;
+    {
+      Stepper::Resident resident(stepper, m);
+      for (int s = 0; s < 4; ++s) t += stepper.step(sys, full, m, t);
+      for (int s = 0; s < 3; ++s) t += stepper.step(sys, no_exchange, m, t);
+      kernels::set_force_reference(1);
+      for (int s = 0; s < 3; ++s) t += stepper.step(sys, full, m, t);
+      kernels::set_force_reference(kernels_allowed ? 0 : 1);
+      for (int s = 0; s < 3; ++s) t += stepper.step(sys, full, m, t);
+    }
+    return m;
+  };
+  EXPECT_TRUE(bytes_identical(run(false), run(true)));
+}
+
+TEST(EnergyOnActiveCells, EqualsTheGridSums) {
+  // The energies walk the active list. On a state with +0.0 vacuum the
+  // grid sums they replaced only add exact zeros there, so both agree bit
+  // for bit: exchange against its accumulate() over the grid, the others
+  // against their masked grid loops.
+  using swsim::math::kMu0;
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const Layout& layout : layouts()) {
+    SCOPED_TRACE(layout.name);
+    const System sys(layout.grid, Material::fecob(), layout.mask);
+    const VectorField m = initial_m(sys);
+    const auto& mask = sys.mask();
+    const double vol = layout.grid.cell_volume();
+
+    ExchangeField exchange;
+    VectorField h(layout.grid);
+    exchange.accumulate(sys, m, 0.0, h);
+    double e = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      e += sys.ms_at(i) * dot(m[i], h[i]);
+    }
+    EXPECT_TRUE(same_bits(exchange.energy(sys, m), -0.5 * kMu0 * e * vol));
+    EXPECT_NE(e, 0.0);
+
+    const UniaxialAnisotropyField anisotropy(Vec3{0, 0, 1});
+    e = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (!mask[i]) continue;
+      const double proj = dot(m[i], Vec3{0, 0, 1});
+      e += 1.0 - proj * proj;
+    }
+    EXPECT_TRUE(same_bits(anisotropy.energy(sys, m),
+                          sys.material().ku * e * vol));
+
+    const ThinFilmDemagField demag;
+    e = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (!mask[i]) continue;
+      const double mz = m[i].z * sys.ms_at(i);
+      e += mz * mz;
+    }
+    EXPECT_TRUE(same_bits(demag.energy(sys, m), 0.5 * kMu0 * e * vol));
+
+    const Vec3 hz{1.0e3, -2.0e3, 2.0e4};
+    const UniformZeemanField zeeman(hz);
+    e = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (mask[i]) e += sys.ms_at(i) * dot(m[i], hz);
+    }
+    EXPECT_TRUE(same_bits(zeeman.energy(sys, m), -kMu0 * e * vol));
+  }
 }
 
 TEST(KernelBitExact, SlotOffsetLayoutsMatchReferenceAtEveryJobCount) {
@@ -412,35 +657,103 @@ TEST(KernelDeterminism, CellJobsDoNotChangeBytes) {
   EXPECT_TRUE(bytes_identical(serial.m, jobs8.m));
 }
 
+// Chunk sizes taken in turn over [0, slots): whole blocks, ranges that
+// end in an overlapping block, ranges shorter than a block, and a last
+// chunk of whatever is left (the whole range, for a layout of fewer than
+// 64 slots).
+constexpr std::size_t kMixedChunks[] = {64, 13, 8, 5, 3, 1};
+
+// The inputs of an epilogue check, slot-indexed: a base state and three
+// earlier ks with magnitudes like a solve's.
+struct StageInputs {
+  kernels::SoaVec base, k1, k2, k3;
+};
+
+StageInputs stage_inputs(std::size_t n) {
+  StageInputs in;
+  for (kernels::SoaVec* v : {&in.base, &in.k1, &in.k2, &in.k3}) {
+    v->assign_zero(n);
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    const double a = 0.37 * static_cast<double>(s);
+    in.base.x[s] = 0.2 * std::sin(a);
+    in.base.y[s] = 0.2 * std::cos(a);
+    in.base.z[s] = 0.97;
+    kernels::SoaVec* const ks[] = {&in.k1, &in.k2, &in.k3};
+    for (int j = 0; j < 3; ++j) {
+      const double b = a * (1.0 + 0.5 * j);
+      ks[j]->x[s] = 3.1e10 * std::sin(b);
+      ks[j]->y[s] = -2.7e10 * std::cos(1.3 * b);
+      ks[j]->z[s] = 4.0e8 * std::sin(0.7 * b);
+    }
+  }
+  return in;
+}
+
+// The two epilogue shapes under test: an axpy (the fresh k alone) and
+// RK4's final update (three earlier ks, then the fresh one). Its
+// combine_range twin takes the fresh dm/dt as its last k.
+constexpr double kStageH = 2e-13;
+
+kernels::Epilogue epilogue(int ks, kernels::SoaVec& out,
+                           const StageInputs& in) {
+  if (ks == 1) return kernels::stage(out, in.base, kStageH, {1.0}, {});
+  return kernels::stage(out, in.base, kStageH / 6.0, {1.0, 2.0, 2.0, 1.0},
+                        {&in.k1, &in.k2, &in.k3});
+}
+
+void combine_twin(int ks, kernels::SoaVec& out, const StageInputs& in,
+                  const kernels::SoaVec& dmdt) {
+  const std::size_t n = dmdt.size();
+  out.assign_zero(n);
+  if (ks == 1) {
+    const double c[1] = {1.0};
+    const kernels::SoaVec* const k[1] = {&dmdt};
+    kernels::combine_range(out, in.base, kStageH, c, k, 0, n);
+  } else {
+    const double c[4] = {1.0, 2.0, 2.0, 1.0};
+    const kernels::SoaVec* const k[4] = {&in.k1, &in.k2, &in.k3, &dmdt};
+    kernels::combine_range(out, in.base, kStageH / 6.0, c, k, 0, n);
+  }
+}
+
+struct SweepOut {
+  VectorField dmdt, out;  // out: the epilogue's, when it ran
+};
+
 // One fused evaluation of initial_m at time t through `variant`, over
-// [0, slots) split into chunks of 64, 13, 8, 5, 3 and 1 slots in turn:
-// whole blocks, ranges that end in an overlapping block, ranges shorter
-// than a block, and a last chunk of whatever is left (the whole range,
-// for a layout of fewer than 64 slots). The output
-// starts as NaN, so a slot no block writes cannot match. Returned as a
-// field over the grid, vacuum +0.0.
-VectorField eval_variant(const kernels::SweepVariant& variant,
-                         const System& sys, const kernels::KernelPlan& plan,
-                         double t) {
+// [0, slots) split into chunks of the given sizes in turn, with the
+// `ks`-shape epilogue over `in` when ks > 0. Both outputs start as NaN,
+// so a slot no block writes cannot match. Returned as fields over the
+// grid, vacuum +0.0.
+SweepOut eval_variant(const kernels::SweepVariant& variant, const System& sys,
+                      const kernels::KernelPlan& plan, double t,
+                      std::span<const std::size_t> chunks = kMixedChunks,
+                      int ks = 0, const StageInputs* in = nullptr) {
   const std::size_t n = plan.slots();
-  kernels::SoaVec m, dmdt;
+  kernels::SoaVec m, dmdt, out;
   kernels::gather(m, initial_m(sys), sys.active_cells());
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  dmdt.x.assign(n, nan);
-  dmdt.y.assign(n, nan);
-  dmdt.z.assign(n, nan);
+  for (kernels::SoaVec* v : {&dmdt, &out}) {
+    v->x.assign(n, nan);
+    v->y.assign(n, nan);
+    v->z.assign(n, nan);
+  }
   std::vector<kernels::EvalOp> ops;
   kernels::resolve_ops(plan, t, ops);
-  const kernels::FusedSweep sweep = kernels::make_sweep(plan, m, ops, dmdt);
-  const std::size_t chunks[] = {64, 13, 8, 5, 3, 1};
+  const kernels::Epilogue epi =
+      ks > 0 ? epilogue(ks, out, *in) : kernels::Epilogue{};
+  const kernels::FusedSweep sweep =
+      kernels::make_sweep(plan, m, ops, dmdt, epi);
   for (std::size_t b = 0, c = 0; b < n; ++c) {
-    const std::size_t e = std::min(n, b + chunks[c % 6]);
+    const std::size_t e = std::min(n, b + chunks[c % chunks.size()]);
     variant.fused(sweep, b, e);
     b = e;
   }
-  VectorField out(sys.grid());
-  kernels::scatter(dmdt, sys.active_cells(), out);
-  return out;
+  SweepOut r{VectorField(sys.grid()), VectorField(sys.grid())};
+  kernels::scatter(dmdt, sys.active_cells(), r.dmdt);
+  if (ks > 0) kernels::scatter(out, sys.active_cells(), r.out);
+  return r;
 }
 
 TEST(KernelBitExact, EveryLaneWidthMatchesSse2AndReference) {
@@ -469,10 +782,37 @@ TEST(KernelBitExact, EveryLaneWidthMatchesSse2AndReference) {
         VectorField ref(layout.grid), h(layout.grid);
         effective_field(sys, terms, initial_m(sys), t, h);
         llg_rhs(sys, initial_m(sys), h, ref);
-        const VectorField sse2 = eval_variant(variants[0], sys, *plan, t);
-        const VectorField lanes = eval_variant(variant, sys, *plan, t);
-        EXPECT_TRUE(bytes_identical(sse2, lanes));
-        EXPECT_TRUE(bytes_identical(ref, lanes));
+        const SweepOut sse2 = eval_variant(variants[0], sys, *plan, t);
+        const SweepOut lanes = eval_variant(variant, sys, *plan, t);
+        EXPECT_TRUE(bytes_identical(sse2.dmdt, lanes.dmdt));
+        EXPECT_TRUE(bytes_identical(ref, lanes.dmdt));
+
+        // The epilogue, in both shapes: the same bytes as the SSE2
+        // variant and as combine_range over the reference dm/dt, and the
+        // same bytes whether the range runs as one chunk (one overlapping
+        // tail) or in mixed chunks (a tail per chunk).
+        const std::size_t n = plan->slots();
+        const StageInputs in = stage_inputs(n);
+        kernels::SoaVec ref_dmdt;
+        kernels::gather(ref_dmdt, ref, sys.active_cells());
+        const std::size_t whole[] = {n};
+        for (const int ks : {1, 4}) {
+          SCOPED_TRACE(::testing::Message() << ks << "-k epilogue");
+          kernels::SoaVec twin;
+          combine_twin(ks, twin, in, ref_dmdt);
+          VectorField expected(layout.grid);
+          kernels::scatter(twin, sys.active_cells(), expected);
+          const SweepOut mixed =
+              eval_variant(variant, sys, *plan, t, kMixedChunks, ks, &in);
+          const SweepOut one =
+              eval_variant(variant, sys, *plan, t, whole, ks, &in);
+          const SweepOut base =
+              eval_variant(variants[0], sys, *plan, t, kMixedChunks, ks, &in);
+          EXPECT_TRUE(bytes_identical(ref, mixed.dmdt));
+          EXPECT_TRUE(bytes_identical(expected, mixed.out));
+          EXPECT_TRUE(bytes_identical(base.out, mixed.out));
+          EXPECT_TRUE(bytes_identical(one.out, mixed.out));
+        }
       }
     }
   }

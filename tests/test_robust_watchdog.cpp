@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "mag/simulation.h"
 #include "math/constants.h"
@@ -23,17 +25,27 @@ using swsim::math::ps;
 
 Grid tiny_grid() { return Grid(3, 2, 1, 5e-9, 5e-9, 1e-9); }
 
+// The occupied cells of a mask, ascending: what a System's active-cell
+// list holds for it.
+std::vector<std::uint32_t> cells_of(const Mask& mask) {
+  std::vector<std::uint32_t> cells;
+  for (std::size_t i = 0; i < mask.grid().cell_count(); ++i) {
+    if (mask[i]) cells.push_back(static_cast<std::uint32_t>(i));
+  }
+  return cells;
+}
+
 TEST(ScanMagnetization, CleanFieldPasses) {
   const VectorField m(tiny_grid(), Vec3{0, 0, 1});
   const Mask mask(tiny_grid(), true);
-  EXPECT_TRUE(scan_magnetization(m, mask, 0.25).is_ok());
+  EXPECT_TRUE(scan_magnetization(m, cells_of(mask), 0.25).is_ok());
 }
 
 TEST(ScanMagnetization, FlagsNanWithCellIndex) {
   VectorField m(tiny_grid(), Vec3{0, 0, 1});
   m[4].y = std::numeric_limits<double>::quiet_NaN();
   const Mask mask(tiny_grid(), true);
-  const Status s = scan_magnetization(m, mask, 0.25);
+  const Status s = scan_magnetization(m, cells_of(mask), 0.25);
   EXPECT_EQ(s.code(), StatusCode::kNumericalDivergence);
   EXPECT_NE(s.message().find("cell 4"), std::string::npos);
 }
@@ -42,7 +54,7 @@ TEST(ScanMagnetization, FlagsInf) {
   VectorField m(tiny_grid(), Vec3{0, 0, 1});
   m[0].z = std::numeric_limits<double>::infinity();
   const Mask mask(tiny_grid(), true);
-  EXPECT_EQ(scan_magnetization(m, mask, 0.25).code(),
+  EXPECT_EQ(scan_magnetization(m, cells_of(mask), 0.25).code(),
             StatusCode::kNumericalDivergence);
 }
 
@@ -51,18 +63,36 @@ TEST(ScanMagnetization, IgnoresUnmaskedCells) {
   m[2].x = std::numeric_limits<double>::quiet_NaN();
   Mask mask(tiny_grid(), true);
   mask.set(2, false);  // poisoned cell is outside the magnet
-  EXPECT_TRUE(scan_magnetization(m, mask, 0.25).is_ok());
+  EXPECT_TRUE(scan_magnetization(m, cells_of(mask), 0.25).is_ok());
 }
 
 TEST(ScanMagnetization, FlagsNormDrift) {
   VectorField m(tiny_grid(), Vec3{0, 0, 1});
   m[1] = Vec3{0, 0, 1.5};  // |m| drifted by 0.5 > 0.25
   const Mask mask(tiny_grid(), true);
-  const Status s = scan_magnetization(m, mask, 0.25);
+  const Status s = scan_magnetization(m, cells_of(mask), 0.25);
   EXPECT_EQ(s.code(), StatusCode::kNumericalDivergence);
   EXPECT_NE(s.message().find("drift"), std::string::npos);
   // Drift check disabled: the same field passes (NaN scan only).
-  EXPECT_TRUE(scan_magnetization(m, mask, 0.0).is_ok());
+  EXPECT_TRUE(scan_magnetization(m, cells_of(mask), 0.0).is_ok());
+}
+
+TEST(ScanMagnetization, CheckCellWordsEveryScanAlike) {
+  // The kernel path's slot scan reports through check_cell too, so its
+  // trips read like the AoS scan's, naming the flat cell.
+  VectorField m(tiny_grid(), Vec3{0, 0, 1});
+  m[5] = Vec3{0, 0, 1.5};
+  const Mask mask(tiny_grid(), true);
+  const Status scan = scan_magnetization(m, cells_of(mask), 0.25);
+  const Status cell = check_cell(m[5], 5, 0.25);
+  EXPECT_EQ(scan.code(), cell.code());
+  EXPECT_EQ(scan.message(), cell.message());
+  EXPECT_EQ(cell.message(), "|m| drift 0.500000 at cell 5");
+  EXPECT_EQ(check_cell(Vec3{0, std::numeric_limits<double>::quiet_NaN(), 1},
+                       7, 0.25)
+                .message(),
+            "non-finite magnetization at cell 7");
+  EXPECT_TRUE(check_cell(m[0], 0, 0.25).is_ok());
 }
 
 TEST(EnergyWatchdog, FirstCheckArmsReference) {
